@@ -195,6 +195,29 @@ func TestHierarchyFillsUpperLevels(t *testing.T) {
 	}
 }
 
+func TestHierarchyNonInclusive(t *testing.T) {
+	// LLC evictions do not back-invalidate L1/L2: a line kept hot in L1 stays
+	// there after its LLC set has evicted it. Victima's residency probe
+	// (Where(addr) > ServedL2) relies on this.
+	h := NewHierarchy(DefaultConfig())
+	llcSets := h.levels[2].Entries() / h.levels[2].Ways()
+	x := mem.PhysAddr(64)
+	h.Access(x)
+	for i := 1; i <= h.levels[2].Ways(); i++ {
+		// Same LLC set as x, and so the same L1 and L2 set too.
+		h.Access(x + mem.PhysAddr(i*llcSets*mem.LineBytes))
+		if served, _ := h.Access(x); served != ServedL1 {
+			t.Fatalf("after conflict %d: x served at %v, want L1", i, served)
+		}
+	}
+	if h.levels[2].Contains(x.Line()) {
+		t.Fatal("x survived its LLC set filling with conflicting lines")
+	}
+	if got := h.Where(x); got != ServedL1 {
+		t.Fatalf("Where(x) = %v after LLC eviction, want L1 (no back-invalidation)", got)
+	}
+}
+
 func TestHierarchyL1DistinctSets(t *testing.T) {
 	h := NewHierarchy(DefaultConfig())
 	// Fill many distinct sets; all must be L1 hits on re-access.
@@ -280,9 +303,10 @@ func TestFlushMask(t *testing.T) {
 }
 
 func TestLookupInsertAfterMidSetHole(t *testing.T) {
-	// FlushMask can invalidate ways mid-set. LookupInsert must keep scanning
-	// past the hole: a resident key beyond it is a hit, not a duplicate
-	// install (which would halve the set's effective associativity).
+	// FlushMask can invalidate ways mid-set. It must close the hole, since
+	// probes stop at the first empty way: a resident key that was beyond the
+	// hole is a hit, not a duplicate install (which would halve the set's
+	// effective associativity).
 	s := NewSetAssoc(4, 4) // one set
 	const hi = uint64(1) << 40
 	s.Insert(hi | 4) // way 0: tagged

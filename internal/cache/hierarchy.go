@@ -69,8 +69,10 @@ func DefaultConfig() Config {
 }
 
 // Hierarchy is the simulated L1-D/L2/LLC/DRAM stack. It tracks only tags
-// (this is a timing model, not a data model) and fills every level on the
-// way back, as an inclusive hierarchy would.
+// (this is a timing model, not a data model) and fills every level it missed
+// in on the way back. The levels are non-inclusive: each replaces on its own,
+// and an LLC eviction does not back-invalidate L1 or L2, so a line kept hot
+// in L1 can outlive its LLC copy.
 type Hierarchy struct {
 	cfg    Config
 	levels [3]*SetAssoc
@@ -93,12 +95,12 @@ func NewHierarchy(cfg Config) *Hierarchy {
 func (h *Hierarchy) Config() Config { return h.cfg }
 
 // Access performs a demand access to addr: it returns the level that served
-// the line and the access latency, and installs the line in every level.
+// the line and the access latency, and installs the line in every level that
+// missed.
 //
 // Each level is probed and filled in a single combined scan: a LookupInsert
-// miss at a level both detects the miss and performs the fill that the
-// inclusive hierarchy would do on the way back, so a full miss costs one set
-// scan per level instead of two.
+// miss at a level both detects the miss and performs the fill on the way
+// back, so a full miss costs one set scan per level instead of two.
 func (h *Hierarchy) Access(addr mem.PhysAddr) (ServedBy, int) {
 	line := addr.Line()
 	for i, c := range h.levels {
