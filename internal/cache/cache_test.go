@@ -309,8 +309,8 @@ func TestLookupInsertAfterMidSetHole(t *testing.T) {
 	// effective associativity).
 	s := NewSetAssoc(4, 4) // one set
 	const hi = uint64(1) << 40
-	s.Insert(hi | 4) // way 0: tagged
-	s.Insert(8)      // way 1: untagged
+	s.Insert(8)      // way 0, then pushed to way 1: untagged
+	s.Insert(hi | 4) // way 0: tagged, so flushing it leaves the hole at way 0
 	if n := s.FlushMask(^uint64(1<<40-1), hi); n != 1 {
 		t.Fatalf("FlushMask invalidated %d, want 1", n)
 	}

@@ -7,7 +7,7 @@
 #   scripts/bench.sh -n 3                          # full suite -> BENCH_3.json
 #   scripts/bench.sh -n 3 -p '^(BenchmarkFig3|BenchmarkTable1)' -c 6
 #   scripts/bench.sh -n 3 -o baseline.txt          # compare against a saved run
-#   scripts/bench.sh -n cache -d ./internal/cache -t 2000000x  # per-structure micros
+#   scripts/bench.sh -n cache -p 'SetAssoc|HierarchyAccess' -t 2000000x  # per-structure micros
 #
 # Flags:
 #   -n NUM      PR number; output file is BENCH_<NUM>.json (required)
@@ -16,8 +16,9 @@
 #   -t TIME     -benchtime per repetition (default: 3x)
 #   -o OLD      baseline `go test -bench` output to diff against (optional);
 #               produces per-benchmark speedups and a geomean in the JSON.
-#   -d PKGS     packages to benchmark (default: . — the end-to-end suite);
-#               internal/cache holds the per-structure ns/access micros.
+#
+# Benchmarks come from two packages: the end-to-end experiment suite in the
+# module root and the per-structure ns/access micros in internal/cache.
 #
 # The raw `go test -bench` output is kept next to the JSON as
 # BENCH_<NUM>.txt so a later PR can use it as its -o baseline.
@@ -25,15 +26,14 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-num="" pattern="." count=6 benchtime=3x old="" pkgs="."
-while getopts "n:p:c:t:o:d:" opt; do
+num="" pattern="." count=6 benchtime=3x old=""
+while getopts "n:p:c:t:o:" opt; do
   case "$opt" in
     n) num=$OPTARG ;;
     p) pattern=$OPTARG ;;
     c) count=$OPTARG ;;
     t) benchtime=$OPTARG ;;
     o) old=$OPTARG ;;
-    d) pkgs=$OPTARG ;;
     *) exit 2 ;;
   esac
 done
@@ -45,9 +45,9 @@ fi
 raw="BENCH_${num}.txt"
 out="BENCH_${num}.json"
 
-echo "bench.sh: go test -run '^\$' -bench '$pattern' -benchtime $benchtime -count $count -benchmem $pkgs" >&2
-# $pkgs is unquoted on purpose: it may name several packages.
-go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -count "$count" -benchmem $pkgs | tee "$raw"
+pkgs=(. ./internal/cache)
+echo "bench.sh: go test -run '^\$' -bench '$pattern' -benchtime $benchtime -count $count -benchmem ${pkgs[*]}" >&2
+go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -count "$count" -benchmem "${pkgs[@]}" | tee "$raw"
 
 if [ -n "$old" ]; then
   go run ./cmd/benchjson -old "$old" "$raw" > "$out"
