@@ -28,14 +28,18 @@ func keyStream(n uint64, seed uint64) []uint64 {
 }
 
 func BenchmarkSetAssocLookupInsert(b *testing.B) {
+	// llc32 is the LLC's own array: the llc geometry with 32-bit tags above
+	// the set index, as a Hierarchy builds it.
 	geometries := []struct {
 		name          string
 		entries, ways int
+		tags32        bool
 	}{
-		{"l1", 512, 8},
-		{"l2", 4096, 8},
-		{"llc", 327680, 20},
-		{"pwc_fa", 32, 32},
+		{"l1", 512, 8, false},
+		{"l2", 4096, 8, false},
+		{"llc", 327680, 20, false},
+		{"llc32", 327680, 20, true},
+		{"pwc_fa", 32, 32, false},
 	}
 	for _, g := range geometries {
 		// hit: the array's first entries/2 keys, ways/2 per set, so after
@@ -50,30 +54,43 @@ func BenchmarkSetAssocLookupInsert(b *testing.B) {
 		}
 		for _, st := range streams {
 			b.Run(g.name+"/"+st.name, func(b *testing.B) {
-				s := NewSetAssoc(g.entries, g.ways)
-				for _, k := range st.keys {
-					s.LookupInsert(k)
+				if g.tags32 {
+					benchLookupInsert(b, newLLCArray(g.entries, g.ways), st.keys)
+				} else {
+					benchLookupInsert(b, &NewSetAssoc(g.entries, g.ways).lruArray, st.keys)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sinkBool = s.LookupInsert(st.keys[i&(streamLen-1)])
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/access")
 			})
 		}
 	}
+}
+
+// benchLookupInsert warms s with keys, then times LookupInsert cycling
+// through them.
+func benchLookupInsert[T tag](b *testing.B, s *lruArray[T], keys []uint64) {
+	for _, k := range keys {
+		s.LookupInsert(k)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkBool = s.LookupInsert(keys[i&(streamLen-1)])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/access")
 }
 
 func BenchmarkHierarchyAccess(b *testing.B) {
 	// walk_hit: lines of a 128 KB page-table region, which fits L2 but not
 	// L1, so accesses are served by L1 and L2 as a warm walker's are.
 	// corunner_miss: co-runner lines, which miss all three levels.
+	// corunner_burst: the same lines through AccessAll, 16 at a time, as the
+	// simulator issues co-runner traffic.
 	streams := []struct {
 		name  string
 		lines []uint64
+		burst int
 	}{
-		{"walk_hit", keyStream(128<<10/mem.LineBytes, 3)},
-		{"corunner_miss", keyStream(coLines, 4)},
+		{"walk_hit", keyStream(128<<10/mem.LineBytes, 3), 0},
+		{"corunner_miss", keyStream(coLines, 4), 0},
+		{"corunner_burst", keyStream(coLines, 4), 16},
 	}
 	for _, st := range streams {
 		b.Run(st.name, func(b *testing.B) {
@@ -84,13 +101,22 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 				h.Access(addrs[i])
 			}
 			mask := len(addrs) - 1
-			var served ServedBy
+			n := b.N
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				served, _ = h.Access(addrs[i&mask])
+			if st.burst > 0 {
+				n = (b.N + st.burst - 1) / st.burst * st.burst
+				for i := 0; i < n; i += st.burst {
+					off := i & mask
+					h.AccessAll(addrs[off : off+st.burst])
+				}
+			} else {
+				var served ServedBy
+				for i := 0; i < n; i++ {
+					served, _ = h.Access(addrs[i&mask])
+				}
+				sinkBool = served == ServedMem
 			}
-			sinkBool = served == ServedMem
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/access")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/access")
 		})
 	}
 }

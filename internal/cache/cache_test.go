@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/mem"
+	"repro/internal/rng"
 )
 
 func TestSetAssocBasic(t *testing.T) {
@@ -200,21 +201,72 @@ func TestHierarchyNonInclusive(t *testing.T) {
 	// there after its LLC set has evicted it. Victima's residency probe
 	// (Where(addr) > ServedL2) relies on this.
 	h := NewHierarchy(DefaultConfig())
-	llcSets := h.levels[2].Entries() / h.levels[2].Ways()
+	llcSets := h.llc.Entries() / h.llc.Ways()
 	x := mem.PhysAddr(64)
 	h.Access(x)
-	for i := 1; i <= h.levels[2].Ways(); i++ {
+	for i := 1; i <= h.llc.Ways(); i++ {
 		// Same LLC set as x, and so the same L1 and L2 set too.
 		h.Access(x + mem.PhysAddr(i*llcSets*mem.LineBytes))
 		if served, _ := h.Access(x); served != ServedL1 {
 			t.Fatalf("after conflict %d: x served at %v, want L1", i, served)
 		}
 	}
-	if h.levels[2].Contains(x.Line()) {
+	if h.llc.Contains(x.Line()) {
 		t.Fatal("x survived its LLC set filling with conflicting lines")
 	}
 	if got := h.Where(x); got != ServedL1 {
 		t.Fatalf("Where(x) = %v after LLC eviction, want L1 (no back-invalidation)", got)
+	}
+}
+
+func TestAccessAllMatchesAccess(t *testing.T) {
+	// AccessAll must be exactly Access on each address in order. Two
+	// hierarchies see the same traffic: co-runner bursts, per address on one
+	// and as random-sized AccessAll bursts on the other, interleaved with
+	// walk-line Access and Where calls on both. Co-runner lines come from a
+	// 64 MB span at 2^42 bytes, so some hit the LLC; walk lines from a 1 MB
+	// region that L2 cannot hold, so they hit every level.
+	one, burst := NewHierarchy(DefaultConfig()), NewHierarchy(DefaultConfig())
+	r := rng.New(5)
+	line := func(base mem.PhysAddr, span uint64) mem.PhysAddr {
+		return base + mem.PhysAddr(r.Uint64n(span/mem.LineBytes)*mem.LineBytes)
+	}
+	touched := map[mem.PhysAddr]bool{}
+	buf := make([]mem.PhysAddr, 64)
+	for op := 0; op < 20_000; op++ {
+		switch c := r.Intn(10); {
+		case c < 6:
+			walk := line(1<<30, 1<<20)
+			s1, l1 := one.Access(walk)
+			s2, l2 := burst.Access(walk)
+			if s1 != s2 || l1 != l2 {
+				t.Fatalf("op %d: walk line served at %v/%d and %v/%d", op, s1, l1, s2, l2)
+			}
+			touched[walk] = true
+		case c < 7:
+			walk := line(1<<30, 1<<20)
+			if w1, w2 := one.Where(walk), burst.Where(walk); w1 != w2 {
+				t.Fatalf("op %d: Where = %v and %v", op, w1, w2)
+			}
+		default:
+			b := buf[:r.Intn(len(buf)+1)]
+			for i := range b {
+				b[i] = line(1<<42, 64<<20)
+				one.Access(b[i])
+				touched[b[i]] = true
+			}
+			burst.AccessAll(b)
+		}
+	}
+	for s := ServedL1; s <= ServedMem; s++ {
+		if c1, c2 := one.ServedCount(s), burst.ServedCount(s); c1 != c2 {
+			t.Errorf("ServedCount(%v) = %d per address, %d in bursts", s, c1, c2)
+		}
+	}
+	for a := range touched {
+		if w1, w2 := one.Where(a), burst.Where(a); w1 != w2 {
+			t.Fatalf("Where(%#x) = %v per address, %v in bursts", uint64(a), w1, w2)
+		}
 	}
 }
 

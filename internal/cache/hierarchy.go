@@ -73,21 +73,32 @@ func DefaultConfig() Config {
 // in on the way back. The levels are non-inclusive: each replaces on its own,
 // and an LLC eviction does not back-invalidate L1 or L2, so a line kept hot
 // in L1 can outlive its LLC copy.
+//
+// L1 and L2 are SetAssoc arrays of whole line numbers. The LLC stores each
+// line's 32-bit tag above its set-index bits, half the footprint of whole
+// lines; a line whose tag would not fit makes Access panic. Under the
+// default 16384-set LLC every line below 2^46 fits.
 type Hierarchy struct {
 	cfg    Config
-	levels [3]*SetAssoc
-	lats   [3]int
-	served [int(servedCount)]uint64
+	l1, l2 *SetAssoc
+	llc    *llcArray
+	lats   [NumServedBy]int // by serving level; the PWC entry is unused
+	served [NumServedBy]uint64
 }
 
 // NewHierarchy builds the stack from cfg.
 func NewHierarchy(cfg Config) *Hierarchy {
-	h := &Hierarchy{cfg: cfg}
-	for i, lc := range []LevelConfig{cfg.L1, cfg.L2, cfg.L3} {
-		lines := lc.SizeBytes / mem.LineBytes
-		h.levels[i] = NewSetAssoc(lines, lc.Ways)
-		h.lats[i] = lc.Latency
+	lines := func(lc LevelConfig) int { return lc.SizeBytes / mem.LineBytes }
+	h := &Hierarchy{
+		cfg: cfg,
+		l1:  NewSetAssoc(lines(cfg.L1), cfg.L1.Ways),
+		l2:  NewSetAssoc(lines(cfg.L2), cfg.L2.Ways),
+		llc: newLLCArray(lines(cfg.L3), cfg.L3.Ways),
 	}
+	h.lats[ServedL1] = cfg.L1.Latency
+	h.lats[ServedL2] = cfg.L2.Latency
+	h.lats[ServedL3] = cfg.L3.Latency
+	h.lats[ServedMem] = cfg.MemLatency
 	return h
 }
 
@@ -103,42 +114,48 @@ func (h *Hierarchy) Config() Config { return h.cfg }
 // back, so a full miss costs one set scan per level instead of two.
 func (h *Hierarchy) Access(addr mem.PhysAddr) (ServedBy, int) {
 	line := addr.Line()
-	for i, c := range h.levels {
-		if c.LookupInsert(line) {
-			s := ServedL1 + ServedBy(i)
-			h.served[s]++
-			return s, h.lats[i]
-		}
+	s := ServedMem
+	switch {
+	case h.l1.LookupInsert(line):
+		s = ServedL1
+	case h.l2.LookupInsert(line):
+		s = ServedL2
+	case h.llc.LookupInsert(line):
+		s = ServedL3
 	}
-	h.served[ServedMem]++
-	return ServedMem, h.cfg.MemLatency
+	h.served[s]++
+	return s, h.lats[s]
+}
+
+// AccessAll is exactly Access on each address of addrs in order, served
+// counts included, with the latencies discarded: the burst form in which the
+// SMT co-runner and multi-process quantum replay issue their traffic.
+func (h *Hierarchy) AccessAll(addrs []mem.PhysAddr) {
+	for _, a := range addrs {
+		h.Access(a)
+	}
 }
 
 // Latency returns the access latency when served at the given level. PWC is
 // not part of the data hierarchy and is rejected.
 func (h *Hierarchy) Latency(s ServedBy) int {
-	switch s {
-	case ServedL1:
-		return h.lats[0]
-	case ServedL2:
-		return h.lats[1]
-	case ServedL3:
-		return h.lats[2]
-	case ServedMem:
-		return h.cfg.MemLatency
-	default:
+	if s < ServedL1 || s >= servedCount {
 		panic(fmt.Sprintf("cache: no latency for %v", s))
 	}
+	return h.lats[s]
 }
 
 // Where probes for the line without changing any state, reporting the level
 // that would serve it.
 func (h *Hierarchy) Where(addr mem.PhysAddr) ServedBy {
 	line := addr.Line()
-	for i, c := range h.levels {
-		if c.Contains(line) {
-			return ServedL1 + ServedBy(i)
-		}
+	switch {
+	case h.l1.Contains(line):
+		return ServedL1
+	case h.l2.Contains(line):
+		return ServedL2
+	case h.llc.Contains(line):
+		return ServedL3
 	}
 	return ServedMem
 }

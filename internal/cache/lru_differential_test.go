@@ -7,6 +7,10 @@ import (
 	"repro/internal/rng"
 )
 
+// invalidTag marks an empty way of a SetAssoc: the all-ones key, which
+// Insert rejects.
+const invalidTag = ^uint64(0)
+
 // ageLRU is a faithful copy of the SetAssoc that kept an LRU age per way and
 // a global clock, and picked victims by a min-age scan. The recency-ordered
 // SetAssoc must be observationally identical to it on every operation.
@@ -137,23 +141,42 @@ func (k diffKeys) key(i uint64) uint64 {
 	return asid<<asidShift | j*k.sets | set
 }
 
+// lruOps is what the differential test drives: a SetAssoc or an llcArray.
+type lruOps interface {
+	Lookup(key uint64) bool
+	Contains(key uint64) bool
+	LookupInsert(key uint64) bool
+	Insert(key uint64)
+	Flush()
+	FlushMask(mask, match uint64) uint64
+}
+
 func TestSetAssocMatchesAgeLRU(t *testing.T) {
+	// llc32 is the Hierarchy's LLC array: 32-bit tags above the set index.
+	// Its top ASID's keys lie just below 2^42, the top of the simulator's
+	// machine line space.
 	geometries := []struct {
 		name          string
 		entries, ways int
+		tags32        bool
 	}{
-		{"l1", 512, 8},
-		{"l2", 4096, 8},
-		{"llc", 327680, 20},
-		{"pwc_fa", 32, 32},
-		{"direct", 2, 1},
-		{"tlb", 64, 4},
+		{"l1", 512, 8, false},
+		{"l2", 4096, 8, false},
+		{"llc", 327680, 20, false},
+		{"llc32", 327680, 20, true},
+		{"pwc_fa", 32, 32, false},
+		{"direct", 2, 1, false},
+		{"tlb", 64, 4, false},
 	}
 	const ops = 20_000
 	for _, g := range geometries {
 		for seed := uint64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", g.name, seed), func(t *testing.T) {
-				cur, ref := NewSetAssoc(g.entries, g.ways), newAgeLRU(g.entries, g.ways)
+				var cur lruOps = NewSetAssoc(g.entries, g.ways)
+				if g.tags32 {
+					cur = newLLCArray(g.entries, g.ways)
+				}
+				ref := newAgeLRU(g.entries, g.ways)
 				keys := newDiffKeys(g.entries, g.ways)
 				r := rng.New(seed)
 				sweep := func(op int) {
@@ -212,5 +235,31 @@ func TestSetAssocMatchesAgeLRU(t *testing.T) {
 				sweep(ops)
 			})
 		}
+	}
+}
+
+func TestLLCArrayTagWidth(t *testing.T) {
+	// At the default LLC geometry (16384 sets) a key's tag is key>>14. The
+	// last key whose tag fits below the 32-bit sentinel installs and hits;
+	// the first whose tag reaches it panics on install and never hits.
+	llc := DefaultConfig().L3
+	s := newLLCArray(llc.SizeBytes/64, llc.Ways)
+	const limit = uint64(1<<32-1) << 14
+	s.Insert(limit - 1)
+	if !s.Contains(limit - 1) {
+		t.Fatal("largest fitting key not resident after insert")
+	}
+	for _, k := range []uint64{limit, limit | 5, 1 << 46, ^uint64(0)} {
+		if s.Lookup(k) || s.Contains(k) {
+			t.Errorf("key %#x with an oversized tag hit", k)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("inserting key %#x with an oversized tag did not panic", k)
+				}
+			}()
+			s.Insert(k)
+		}()
 	}
 }

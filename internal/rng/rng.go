@@ -9,6 +9,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -48,7 +49,7 @@ func (s *Stream) Uint64n(n uint64) uint64 {
 	}
 	// Lemire's multiply-shift rejection-free reduction is fine here: the tiny
 	// modulo bias for astronomically large n is irrelevant to a simulator.
-	hi, _ := mul64(s.Next(), n)
+	hi, _ := bits.Mul64(s.Next(), n)
 	return hi
 }
 
@@ -67,19 +68,6 @@ func (s *Stream) Float64() float64 {
 
 // Bool returns true with probability p.
 func (s *Stream) Bool(p float64) bool { return s.Float64() < p }
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t&mask32 + x0*y1
-	hi = x1*y1 + t>>32 + w1>>32
-	lo = x * y
-	return
-}
 
 // Perm is a bijective permutation of [0, n) built from a 4-round Feistel
 // network over the smallest even-width bit domain covering n, with

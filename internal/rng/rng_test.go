@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -43,6 +44,34 @@ func TestUint64nRange(t *testing.T) {
 		for i := 0; i < 1000; i++ {
 			if v := s.Uint64n(n); v >= n {
 				t.Fatalf("Uint64n(%d) = %d out of range", n, v)
+			}
+		}
+	}
+}
+
+func TestUint64nMatchesBigReference(t *testing.T) {
+	// Uint64n(n) is the high word of the 128-bit product Next()*n, checked
+	// here against math/big on edge values of n and on random draws.
+	ref := func(x, n uint64) uint64 {
+		p := new(big.Int).Mul(new(big.Int).SetUint64(x), new(big.Int).SetUint64(n))
+		return p.Rsh(p, 64).Uint64()
+	}
+	ns := []uint64{1, 2, 3, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1<<63 - 1, 1 << 63, 1<<64 - 1}
+	for k := 0; k < 64; k++ {
+		ns = append(ns, 1<<k)
+	}
+	draws := New(17)
+	for i := 0; i < 2000; i++ {
+		ns = append(ns, draws.Next()>>draws.Uint64n(64))
+	}
+	for i, n := range ns {
+		if n == 0 {
+			continue
+		}
+		s, shadow := New(uint64(i)), New(uint64(i))
+		for j := 0; j < 8; j++ {
+			if got, want := s.Uint64n(n), ref(shadow.Next(), n); got != want {
+				t.Fatalf("Uint64n(%#x) draw %d = %#x, big reference %#x", n, j, got, want)
 			}
 		}
 	}

@@ -88,7 +88,7 @@ func runMulti(ctx context.Context, sc Scenario, p Params, h *cache.Hierarchy,
 	var now int64
 	measure := newMeter(sc.Workload, p)
 	var walksTotal, refs, sliceRefs int
-	var coDebt float64
+	traffic := coTraffic{h: h, every: p.CoAccessCycles}
 	measuring := false
 	scheme := sc.SchemeName()
 	cur := procs[0]
@@ -113,9 +113,7 @@ func runMulti(ctx context.Context, sc Scenario, p Params, h *cache.Hierarchy,
 			// (stall + retire time per reference; walk time is excluded so
 			// the replay is policy-independent).
 			nominal := cur.spec.DataStallCycles + cur.spec.InstrPerRef*p.CPIBase
-			for n := int(float64(sliceRefs) * nominal / p.CoAccessCycles); n > 0; n-- {
-				h.Access(cur.data.Next())
-			}
+			traffic.burst(cur.data, int(float64(sliceRefs)*nominal/p.CoAccessCycles))
 			sliceRefs = 0
 			cur = procs[pid]
 			moved := s.Switch(pid)
@@ -146,9 +144,7 @@ func runMulti(ctx context.Context, sc Scenario, p Params, h *cache.Hierarchy,
 			}
 		}
 		if co != nil {
-			for coDebt += refCycles / p.CoAccessCycles; coDebt >= 1; coDebt-- {
-				h.Access(co.Next())
-			}
+			traffic.smt(co, refCycles)
 		}
 		now += int64(cur.spec.DataStallCycles)
 		if measuring {

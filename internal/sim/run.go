@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/cache"
 	"repro/internal/mem"
@@ -146,9 +147,14 @@ func RunTappedCtx(ctx context.Context, sc Scenario, p Params, tap RefTap) (*Resu
 // (nil behaves exactly like RunTappedCtx — observation never perturbs the
 // simulation, so metrics are identical with and without a tracer).
 func RunObserved(ctx context.Context, sc Scenario, p Params, tap RefTap, tr *obs.Tracer) (*Result, error) {
+	res := &Result{Scenario: sc}
+	if sc.Colocated || p.Processes > 1 {
+		if c := p.CoAccessCycles; !(c > 0) || math.IsInf(c, 1) {
+			return res, fmt.Errorf("sim: CoAccessCycles must be positive and finite, got %v (scenario %s)", c, sc.Name())
+		}
+	}
 	h := cache.NewHierarchy(p.Cache)
 	mshr := cache.NewMSHRFile(p.MSHRs)
-	res := &Result{Scenario: sc}
 
 	if err := mmu.Validate(sc.Scheme); err != nil {
 		return res, err
@@ -216,6 +222,45 @@ func (a *nativeAssembly) process() *mmu.Process {
 	}
 }
 
+// coChunk is how many co-runner addresses one AccessAll call takes: bursts
+// are drawn into a buffer of this size, so a burst of any length costs a
+// fixed amount of memory.
+const coChunk = 64
+
+// coTraffic issues co-runner-style request bursts into the shared hierarchy:
+// the SMT co-runner's, paced by application progress, and the multi-process
+// quantum replay's. A burst of n requests from a stream is exactly n
+// h.Access(stream.Next()) calls in order; it allocates nothing.
+type coTraffic struct {
+	h     *cache.Hierarchy
+	every float64 // Params.CoAccessCycles
+	debt  float64 // SMT requests owed, always below 1 between calls
+	buf   [coChunk]mem.PhysAddr
+}
+
+// smt issues the SMT co-runner's requests for cycles of application
+// progress: one per CoAccessCycles, carrying the fraction to the next call.
+// Taking the whole requests at once leaves debt as the same double as
+// subtracting 1 per request would, since x-1 is exact for 1 ≤ x < 2^53.
+func (c *coTraffic) smt(co *workload.CoRunner, cycles float64) {
+	c.debt += cycles / c.every
+	n := int(c.debt)
+	c.debt -= float64(n)
+	c.burst(co, n)
+}
+
+// burst issues n requests drawn from stream, a chunk at a time.
+func (c *coTraffic) burst(stream *workload.CoRunner, n int) {
+	for n > 0 {
+		chunk := c.buf[:min(n, len(c.buf))]
+		for i := range chunk {
+			chunk[i] = stream.Next()
+		}
+		c.h.AccessAll(chunk)
+		n -= len(chunk)
+	}
+}
+
 // drive replays a single-process reference stream through the scheme: the
 // shared measurement loop of the native, virtualized and trace-driven runs.
 func drive(ctx context.Context, sc Scenario, p Params, s mmu.Scheme, src refSource,
@@ -224,7 +269,7 @@ func drive(ctx context.Context, sc Scenario, p Params, s mmu.Scheme, src refSour
 	var now int64
 	measure := newMeter(sc.Workload, p)
 	var walksTotal, refs int
-	var coDebt float64
+	traffic := coTraffic{h: h, every: p.CoAccessCycles}
 	measuring := false
 	scheme := sc.SchemeName()
 	for refs = 0; refs < p.MaxRefs; refs++ {
@@ -262,9 +307,7 @@ func drive(ctx context.Context, sc Scenario, p Params, s mmu.Scheme, src refSour
 		// traffic and the SMT co-runner's stream do (§4). The co-runner
 		// issues one random request per CoAccessCycles of app progress.
 		if co != nil {
-			for coDebt += refCycles / p.CoAccessCycles; coDebt >= 1; coDebt-- {
-				h.Access(co.Next())
-			}
+			traffic.smt(co, refCycles)
 		}
 		now += int64(sc.Workload.DataStallCycles)
 		if measuring {

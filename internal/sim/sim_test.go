@@ -1,10 +1,16 @@
 package sim
 
 import (
+	"context"
+	"errors"
+	"math"
 	"testing"
+	"time"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/mem"
+	"repro/internal/rng"
 	"repro/internal/workload"
 )
 
@@ -477,5 +483,66 @@ func TestMultiprocUnknownMixRejected(t *testing.T) {
 	p.Processes = 2
 	if _, err := Run(Scenario{Workload: tinySpec(), Mix: "nosuch"}, p); err == nil {
 		t.Fatal("unknown mix workload accepted")
+	}
+}
+
+func TestRunRejectsBadCoAccessCycles(t *testing.T) {
+	// A zero pacing once made the co-runner's debt +Inf and spun its loop
+	// where the ctx poll never ran. The error must come from validation
+	// before anything runs, not from the deadline.
+	for _, c := range []float64{0, -18, math.NaN(), math.Inf(1)} {
+		for _, procs := range []int{1, 2} {
+			p := fastParams()
+			p.CoAccessCycles = c
+			p.Processes = procs
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			_, err := RunCtx(ctx, Scenario{Workload: tinySpec(), Colocated: procs == 1}, p)
+			cancel()
+			if err == nil || errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("CoAccessCycles=%v, Processes=%d: err = %v, want a validation error", c, procs, err)
+			}
+		}
+	}
+}
+
+func TestCoTrafficMatchesPerAccessLoop(t *testing.T) {
+	// coTraffic must be exactly the per-request loops it replaced: the SMT
+	// debt loop and the quantum replay's count loop, request for request and
+	// down to the carried debt's bits.
+	p := fastParams()
+	hRef, hBurst := cache.NewHierarchy(p.Cache), cache.NewHierarchy(p.Cache)
+	newCo := func(seed uint64) *workload.CoRunner {
+		return workload.NewCoRunner(coRunnerBase.Addr(), 1<<26, seed)
+	}
+	coRef, coBurst := newCo(1), newCo(1)
+	dataRef, dataBurst := newCo(2), newCo(2)
+	traffic := coTraffic{h: hBurst, every: p.CoAccessCycles}
+	var debt float64
+	r := rng.New(3)
+	for i := 0; i < 20_000; i++ {
+		if r.Bool(0.01) {
+			n := r.Intn(3 * coChunk)
+			for j := 0; j < n; j++ {
+				hRef.Access(dataRef.Next())
+			}
+			traffic.burst(dataBurst, n)
+			continue
+		}
+		cycles := 30 + 4*p.CPIBase
+		if r.Bool(0.1) {
+			cycles += float64(r.Intn(600)) // a walk
+		}
+		for debt += cycles / p.CoAccessCycles; debt >= 1; debt-- {
+			hRef.Access(coRef.Next())
+		}
+		traffic.smt(coBurst, cycles)
+		if math.Float64bits(debt) != math.Float64bits(traffic.debt) {
+			t.Fatalf("step %d: debt %v, per-request loop left %v", i, traffic.debt, debt)
+		}
+	}
+	for s := cache.ServedL1; s <= cache.ServedMem; s++ {
+		if got, want := hBurst.ServedCount(s), hRef.ServedCount(s); got != want {
+			t.Errorf("served by %v: %d, per-access loop %d", s, got, want)
+		}
 	}
 }
