@@ -27,9 +27,12 @@ type lruArray[T tag] struct {
 	sets    int
 	nways   int
 	setMask uint64
-	shift   uint   // set-index bits dropped from a key to form its tag
-	limit   uint64 // the first key whose tag reaches the sentinel
-	tags    []T
+	// shift is how many set-index bits a key drops to form its tag. It is
+	// below 64, and masking it with 63 where it is used lets the compiler
+	// skip Go's handling of oversized shifts on the hot path.
+	shift uint
+	limit uint64 // the first key whose tag reaches the sentinel
+	tags  []T
 }
 
 // init sets up an empty array with the given geometry. entries must be a
@@ -88,7 +91,7 @@ func (s *lruArray[T]) Lookup(key uint64) bool {
 	if key >= s.limit {
 		return false // never falsely hit an empty way
 	}
-	set, t := s.set(key), T(key>>s.shift)
+	set, t := s.set(key), T(key>>(s.shift&63))
 	i := find(set, t)
 	if i < 0 {
 		return false
@@ -101,7 +104,7 @@ func (s *lruArray[T]) Lookup(key uint64) bool {
 // Contains reports whether key is present without updating LRU state.
 func (s *lruArray[T]) Contains(key uint64) bool {
 	// A key whose tag does not fit is never resident.
-	return key < s.limit && find(s.set(key), T(key>>s.shift)) >= 0
+	return key < s.limit && find(s.set(key), T(key>>(s.shift&63))) >= 0
 }
 
 // LookupInsert probes for key and, on a miss, installs it in the same scan,
@@ -120,7 +123,7 @@ func (s *lruArray[T]) LookupInsert(key uint64) bool {
 		panic("cache: key's tag collides with the invalid-tag sentinel")
 	}
 	base := int(key&s.setMask) * s.nways
-	set, t := s.tags[base:base+s.nways], T(key>>s.shift)
+	set, t := s.tags[base:base+s.nways], T(key>>(s.shift&63))
 	prev := t
 	for i, w := range set {
 		set[i] = prev
