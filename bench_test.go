@@ -9,6 +9,7 @@
 package repro
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -124,7 +125,7 @@ func benchScenario(b *testing.B, sc sim.Scenario) {
 	var last float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(sc, o.Params)
+		res, err := sim.Run(context.Background(), sc, o.Params, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

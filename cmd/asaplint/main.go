@@ -1,7 +1,7 @@
 // asaplint is the repository's invariant linter: a multichecker running the
 // repo-specific analyzers (meterwindow, keycomplete, determinism, seededrand,
 // ctxflow, crashsafe, lockcheck, mixedaccess) alongside curated stock passes
-// (nilness, unusedresult, copylocks, shadow).
+// (nilness, shadow; go vet runs copylocks and unusedresult).
 //
 // Usage:
 //

@@ -66,35 +66,19 @@ func main() {
 	}
 	// The native ASAP config parses in scheme context: prefetch levels are the
 	// asap scheme's mechanism, so -scheme victima -asap p1+p2 is rejected, not
-	// silently ignored. Guest/host configs are virtualization-only and the
-	// rival schemes are native-only, so plain parses plus the -virt checks
-	// below cover them.
+	// silently ignored. Every other contradictory combination is rejected by
+	// sim.Validate below.
 	native, err := mmu.ParseASAP(*scheme, *asapFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	guest, host := parseASAP(*guestFlag), parseASAP(*hostFlag)
-	// Reject contradictory flag combinations up front: silently ignoring a
-	// dimension the user asked for produces misleading results.
-	if *procs <= 1 && (*mix != "" || *flushSw || *quantum > 0) {
-		fmt.Fprintln(os.Stderr, "-mix, -flushswitch and -quantum require -procs > 1")
-		os.Exit(2)
-	}
-	if !*virtual && (guest.Enabled() || host.Enabled() || *hugeHost) {
-		fmt.Fprintln(os.Stderr, "-guest, -host and -hugehost require -virt")
-		os.Exit(2)
-	}
-	if *virtual && *procs > 1 {
-		fmt.Fprintln(os.Stderr, "-virt does not combine with -procs > 1 (multi-process scheduling is native-only)")
-		os.Exit(2)
-	}
-	if *virtual && native.Enabled() {
-		fmt.Fprintln(os.Stderr, "-asap selects the native engine; under -virt use -guest/-host")
-		os.Exit(2)
-	}
-	if *virtual && mmu.Canonical(*scheme) != "asap" {
-		fmt.Fprintf(os.Stderr, "-scheme %s is native-only; -virt runs the asap pipeline\n", mmu.Canonical(*scheme))
+	// A lone process ignores QuantumRefs (which always carries a default) and
+	// FlushOnSwitch, so sim.Validate accepts both; only the command line can
+	// tell that the user asked for them.
+	if *procs <= 1 && (*flushSw || *quantum > 0) {
+		fmt.Fprintln(os.Stderr, "-flushswitch and -quantum require -procs > 1")
 		os.Exit(2)
 	}
 	p := sim.DefaultParams()
@@ -131,6 +115,10 @@ func main() {
 		// The default asap selection keeps the zero Scenario value, so names
 		// and memo keys match the pre-scheme harness exactly.
 		sc.Scheme = mmu.Canonical(*scheme)
+	}
+	if err := sim.Validate(sc, p); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	// A single cell gains nothing from parallelism, but routing through the
 	// runner keeps asapsim on the same executor as cmd/paperrepro and the

@@ -103,8 +103,8 @@ func record(args []string) error {
 	if *out == "" {
 		return fmt.Errorf("record needs -o FILE")
 	}
-	if *procs <= 1 && (*mix != "" || *quantum > 0) {
-		return fmt.Errorf("-mix and -quantum require -procs > 1")
+	if *procs <= 1 && *quantum > 0 {
+		return fmt.Errorf("-quantum requires -procs > 1") // sim.Run rejects -mix without it
 	}
 	spec, ok := workload.ByName(*name)
 	if !ok {
@@ -145,7 +145,7 @@ func record(args []string) error {
 		paths[pid] = path
 		return os.Create(path)
 	}, compress)
-	res, err := sim.RunTapped(sc, p, rec)
+	res, err := sim.Run(context.Background(), sc, p, rec, nil)
 	if err != nil {
 		rec.Close()
 		return err
@@ -254,7 +254,7 @@ func replay(args []string) error {
 		}
 		tracer = obs.NewTracer(obs.TraceConfig{Sample: *sample, Metrics: reg})
 	}
-	res, err := sim.RunObserved(context.Background(), sc, p, nil, tracer)
+	res, err := sim.Run(context.Background(), sc, p, nil, tracer)
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -38,7 +39,7 @@ func main() {
 		}
 		var lat [4]float64
 		for i, sc := range cells {
-			res, err := sim.Run(sc, params)
+			res, err := sim.Run(context.Background(), sc, params, nil, nil)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -41,7 +42,7 @@ func main() {
 		{"5-level ASAP P1+P2+P3", five, sim.ASAPConfig{Native: core.Config{P1: true, P2: true, P3: true}}},
 	}
 	for _, r := range rows {
-		res, err := sim.Run(sim.Scenario{Workload: spec, ASAP: r.asap}, r.p)
+		res, err := sim.Run(context.Background(), sim.Scenario{Workload: spec, ASAP: r.asap}, r.p, nil, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -38,7 +39,7 @@ func main() {
 		{"…colocated baseline", sim.Scenario{Workload: spec, Virtualized: true, HostHugePages: true, Colocated: true}},
 	}
 	for _, c := range cells {
-		res, err := sim.Run(c.sc, params)
+		res, err := sim.Run(context.Background(), c.sc, params, nil, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

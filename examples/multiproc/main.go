@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -50,7 +51,7 @@ func main() {
 				if n > 1 {
 					sc.Mix = "mcf,canneal"
 				}
-				res, err := sim.Run(sc, p)
+				res, err := sim.Run(context.Background(), sc, p, nil, nil)
 				if err != nil {
 					log.Fatal(err)
 				}

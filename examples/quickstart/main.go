@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -30,7 +31,7 @@ func main() {
 
 	var baseline float64
 	for _, cfg := range []core.Config{{}, {P1: true}, {P1: true, P2: true}} {
-		res, err := sim.Run(sim.Scenario{Workload: spec, ASAP: sim.ASAPConfig{Native: cfg}}, params)
+		res, err := sim.Run(context.Background(), sim.Scenario{Workload: spec, ASAP: sim.ASAPConfig{Native: cfg}}, params, nil, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -41,7 +42,7 @@ func main() {
 
 	var baseline float64
 	for i, c := range cells {
-		res, err := sim.Run(c.sc, params)
+		res, err := sim.Run(context.Background(), c.sc, params, nil, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -26,7 +27,7 @@ func main() {
 		params.WarmupWalks, params.MeasureWalks = 3000, 2000
 	}
 
-	native, err := sim.Run(sim.Scenario{Workload: spec}, params)
+	native, err := sim.Run(context.Background(), sim.Scenario{Workload: spec}, params, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func main() {
 	}
 	var base float64
 	for _, c := range configs {
-		res, err := sim.Run(sim.Scenario{Workload: spec, Virtualized: true, ASAP: c.asap}, params)
+		res, err := sim.Run(context.Background(), sim.Scenario{Workload: spec, Virtualized: true, ASAP: c.asap}, params, nil, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

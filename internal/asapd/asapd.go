@@ -9,7 +9,7 @@
 //     HTTP 429 + Retry-After, never an unbounded in-memory backlog. The
 //     Client helper retries with jittered exponential backoff.
 //   - Timeouts: a job's TimeoutMS bounds the whole grid through context
-//     plumbing that reaches sim's reference loops; on expiry the job reports
+//     plumbing that reaches sim's reference loop; on expiry the job reports
 //     every completed cell plus structured per-cell errors for the rest.
 //   - Crash safety: results persist in an atomic, digest-verified store
 //     (store.Store); corrupt entries are quarantined and re-simulated, never

@@ -352,6 +352,9 @@ func TestSubmitValidation(t *testing.T) {
 		"missing trace":    `{"cells": [{"trace": "/no/such/file.trace"}]}`,
 		"guest sans virt":  `{"cells": [{"workload": "mcf", "guest": "p1"}]}`,
 		"virt plus native": `{"cells": [{"workload": "mcf", "virtualized": true, "asap": "p1"}]}`,
+		"virt plus procs":  `{"cells": [{"workload": "mcf", "virtualized": true}], "params": {"processes": 2}}`,
+		"mix sans procs":   `{"cells": [{"workload": "mcf", "mix": "mcf,canneal"}]}`,
+		"hole prob > 1":    `{"cells": [{"workload": "mcf"}], "params": {"hole_prob": 1.5}}`,
 		"not json":         `{]`,
 	} {
 		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))

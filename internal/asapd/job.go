@@ -111,9 +111,10 @@ func (pc plannedCell) key() sim.CellKey {
 	return sim.Key(pc.sc, pc.base.ForRepeat(pc.repeat))
 }
 
-// scenario validates one cell spec and builds its Scenario. Trace files are
-// loaded (and registered for replay) at submission, so a bad path is a 400
-// at submit time, not a buried per-cell error an hour later.
+// scenario parses one cell spec into its Scenario (plan validates the
+// combination). Trace files are loaded (and registered for replay) at
+// submission, so a bad path is a 400 at submit time, not a buried per-cell
+// error an hour later.
 func (cs CellSpec) scenario() (sim.Scenario, error) {
 	var sc sim.Scenario
 	if cs.Trace != "" {
@@ -162,17 +163,6 @@ func (cs CellSpec) scenario() (sim.Scenario, error) {
 	if sc.ASAP.Host, err = core.ParseConfig(orOff(cs.Host)); err != nil {
 		return sc, fmt.Errorf("host: %w", err)
 	}
-	// Contradictory combinations are submit-time errors, exactly like the
-	// CLI: silently ignoring a dimension produces misleading results.
-	if !sc.Virtualized && (sc.ASAP.Guest.Enabled() || sc.ASAP.Host.Enabled() || sc.HostHugePages) {
-		return sc, fmt.Errorf("guest, host and host_huge_pages require virtualized")
-	}
-	if sc.Virtualized && sc.ASAP.Native.Enabled() {
-		return sc, fmt.Errorf("asap selects the native engine; under virtualized use guest/host")
-	}
-	if sc.Virtualized && sc.Scheme != "" {
-		return sc, fmt.Errorf("scheme %s is native-only; virtualized runs the asap pipeline", sc.Scheme)
-	}
 	return sc, nil
 }
 
@@ -200,6 +190,12 @@ func (spec JobSpec) plan() ([]plannedCell, error) {
 	for i, cs := range spec.Cells {
 		sc, err := cs.scenario()
 		if err != nil {
+			return nil, fmt.Errorf("cell %d: %w", i, err)
+		}
+		// Contradictory combinations are submit-time errors, exactly like
+		// the CLI's: silently ignoring a dimension produces misleading
+		// results.
+		if err := sim.Validate(sc, base); err != nil {
 			return nil, fmt.Errorf("cell %d: %w", i, err)
 		}
 		for rep := 0; rep < repeats; rep++ {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -22,7 +23,7 @@ func FuzzEntryDecode(f *testing.F) {
 	p.WarmupWalks = 120
 	p.MeasureWalks = 80
 	key := sim.Key(sim.Scenario{Workload: w}, p)
-	res, err := sim.Run(key.Scenario, key.Params)
+	res, err := sim.Run(context.Background(), key.Scenario, key.Params, nil, nil)
 	if err != nil {
 		f.Fatal(err)
 	}

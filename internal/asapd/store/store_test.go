@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -30,7 +31,7 @@ func testCell(t *testing.T) sim.CellKey {
 
 func simulate(t *testing.T, key sim.CellKey) *sim.Result {
 	t.Helper()
-	res, err := sim.Run(key.Scenario, key.Params)
+	res, err := sim.Run(context.Background(), key.Scenario, key.Params, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

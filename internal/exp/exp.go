@@ -116,7 +116,7 @@ func (o Options) run(sc sim.Scenario) (*cellResult, error) {
 		if o.Runner != nil {
 			r, err = o.Runner.RunRepeatCtx(o.ctx(), sc, o.Params, i)
 		} else {
-			r, err = sim.RunCtx(o.ctx(), sc, o.Params.ForRepeat(i))
+			r, err = sim.Run(o.ctx(), sc, o.Params.ForRepeat(i), nil, nil)
 		}
 		if err != nil {
 			return nil, err

@@ -25,7 +25,7 @@ func tracedCannealRun(t *testing.T, tr *obs.Tracer) *sim.Result {
 	p := sim.DefaultParams()
 	p.WarmupWalks = 1500
 	p.MeasureWalks = 1500
-	res, err := sim.RunObserved(context.Background(), sc, p, nil, tr)
+	res, err := sim.Run(context.Background(), sc, p, nil, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,8 @@
 // parameters and a (value, ok) result — the stream driving a simulation)
 // must poll ctx on every cycle path. The poll's block has to dominate every
 // latch of the loop, so a check hidden behind a conditional does not count.
-// Deleting the ctx-poll from sim.drive or sim.runMulti trips this rule.
+// Deleting the ctx-poll from sim.drive, the one reference loop behind every
+// run, trips this rule.
 package ctxflow
 
 import (

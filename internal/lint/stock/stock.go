@@ -1,11 +1,11 @@
 // Package stock reimplements the curated subset of x/tools stock analyzers
-// the suite runs alongside the repo-specific ones: nilness, unusedresult,
-// copylocks and shadow. The real passes live in golang.org/x/tools, which
-// this dependency-free repository cannot vendor; these are deliberately
-// narrower ports that keep the same names, report the same bug classes, and
-// can be swapped for the originals wholesale if a dependency on x/tools ever
-// becomes acceptable. go vet (in CI) still runs the full-strength copylocks,
-// so the port here is belt-and-braces rather than the only line of defense.
+// the suite runs alongside the repo-specific ones: nilness and shadow. The
+// real passes live in golang.org/x/tools, which this dependency-free
+// repository cannot vendor; these are deliberately narrower ports that keep
+// the same names, report the same bug classes, and can be swapped for the
+// originals wholesale if a dependency on x/tools ever becomes acceptable.
+// go vet, which CI runs, has neither pass; it covers copylocks and
+// unusedresult at full strength, so the suite carries no port of those.
 package stock
 
 import (
@@ -19,7 +19,7 @@ import (
 
 // Analyzers returns the curated stock passes in suite order.
 func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{Nilness, Unusedresult, Copylocks, Shadow}
+	return []*analysis.Analyzer{Nilness, Shadow}
 }
 
 // ---- nilness ----------------------------------------------------------
@@ -159,180 +159,6 @@ func reportNilUse(pass *analysis.Pass, info *types.Info, node ast.Node, obj type
 		}
 		return true
 	})
-}
-
-// ---- unusedresult -----------------------------------------------------
-
-// Unusedresult flags statement-position calls to pure functions whose entire
-// point is their return value.
-var Unusedresult = &analysis.Analyzer{
-	Name: "unusedresult",
-	Doc:  "flag discarded results of pure functions (fmt.Errorf, errors.New, String/Error methods, ...)",
-	Run:  runUnusedresult,
-}
-
-var pureFuncs = map[[2]string]bool{
-	{"errors", "New"}:        true,
-	{"errors", "Unwrap"}:     true,
-	{"errors", "Join"}:       true,
-	{"fmt", "Errorf"}:        true,
-	{"fmt", "Sprint"}:        true,
-	{"fmt", "Sprintf"}:       true,
-	{"fmt", "Sprintln"}:      true,
-	{"sort", "Reverse"}:      true,
-	{"context", "WithValue"}: true,
-	{"maps", "Clone"}:        true,
-	{"slices", "Clone"}:      true,
-}
-
-func runUnusedresult(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			stmt, ok := n.(*ast.ExprStmt)
-			if !ok {
-				return true
-			}
-			call, ok := stmt.X.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-			if !ok {
-				return true
-			}
-			sig, ok := fn.Type().(*types.Signature)
-			if !ok {
-				return true
-			}
-			if sig.Recv() == nil {
-				if fn.Pkg() != nil && pureFuncs[[2]string{fn.Pkg().Path(), fn.Name()}] {
-					pass.Reportf(call.Pos(), "result of %s.%s is discarded", fn.Pkg().Name(), fn.Name())
-				}
-				return true
-			}
-			// Pure stringer-shaped methods: String() string / Error() string.
-			if (fn.Name() == "String" || fn.Name() == "Error") &&
-				sig.Params().Len() == 0 && sig.Results().Len() == 1 &&
-				types.Identical(sig.Results().At(0).Type(), types.Typ[types.String]) {
-				pass.Reportf(call.Pos(), "result of (%s).%s is discarded", sig.Recv().Type(), fn.Name())
-			}
-			return true
-		})
-	}
-	return nil
-}
-
-// ---- copylocks --------------------------------------------------------
-
-// Copylocks flags by-value movement of types that contain a sync lock:
-// receivers, parameters, results, range copies, and plain lvalue copies.
-var Copylocks = &analysis.Analyzer{
-	Name: "copylocks",
-	Doc:  "flag by-value copies of types containing sync.Mutex and friends",
-	Run:  runCopylocks,
-}
-
-func runCopylocks(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch e := n.(type) {
-			case *ast.FuncDecl:
-				checkFuncLocks(pass, e)
-			case *ast.RangeStmt:
-				if e.Value != nil {
-					if t := pass.TypesInfo.TypeOf(e.Value); t != nil && containsLock(t, nil) {
-						pass.Reportf(e.Value.Pos(), "range copies a lock by value: %s contains a sync lock; iterate by index or over pointers", t)
-					}
-				}
-			case *ast.AssignStmt:
-				for i, rhs := range e.Rhs {
-					if i >= len(e.Lhs) {
-						break
-					}
-					if !isLvalueCopy(rhs) {
-						continue
-					}
-					if t := pass.TypesInfo.TypeOf(rhs); t != nil && containsLock(t, nil) {
-						pass.Reportf(rhs.Pos(), "assignment copies a lock by value: %s contains a sync lock; use a pointer", t)
-					}
-				}
-			}
-			return true
-		})
-	}
-	return nil
-}
-
-// isLvalueCopy reports whether e is an expression whose assignment copies an
-// existing value (as opposed to a fresh composite literal or call result).
-func isLvalueCopy(e ast.Expr) bool {
-	switch x := e.(type) {
-	case *ast.Ident:
-		return x.Name != "nil"
-	case *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-		return true
-	case *ast.ParenExpr:
-		return isLvalueCopy(x.X)
-	}
-	return false
-}
-
-func checkFuncLocks(pass *analysis.Pass, fd *ast.FuncDecl) {
-	check := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			t := pass.TypesInfo.TypeOf(field.Type)
-			if t == nil {
-				continue
-			}
-			if _, isPtr := t.(*types.Pointer); isPtr {
-				continue
-			}
-			if containsLock(t, nil) {
-				pass.Reportf(field.Pos(), "%s passes a lock by value: %s contains a sync lock; use a pointer", what, t)
-			}
-		}
-	}
-	check(fd.Recv, "receiver")
-	check(fd.Type.Params, "parameter")
-	check(fd.Type.Results, "result")
-}
-
-// containsLock reports whether t (by value) contains a sync lock type.
-func containsLock(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	if seen == nil {
-		seen = map[types.Type]bool{}
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Pool", "Map":
-				return true
-			}
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLock(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLock(u.Elem(), seen)
-	}
-	return false
 }
 
 // ---- shadow -----------------------------------------------------------

@@ -14,11 +14,3 @@ func TestShadow(t *testing.T) {
 func TestNilness(t *testing.T) {
 	analysistest.Run(t, stock.Nilness, "nilness")
 }
-
-func TestUnusedresult(t *testing.T) {
-	analysistest.Run(t, stock.Unusedresult, "unusedresult")
-}
-
-func TestCopylocks(t *testing.T) {
-	analysistest.Run(t, stock.Copylocks, "copylocks")
-}

@@ -1,5 +1,5 @@
 // Package mmu defines the pluggable translation-scheme interface the
-// simulator's run loops drive: everything between "the core issued a data
+// simulator's run loop drives: everything between "the core issued a data
 // reference" and "the translation is resolved" — TLB lookups, page walks,
 // prefetch engines, speculative translation — lives behind Scheme, so rival
 // MMU designs can be modeled without forking the hot loop.

@@ -152,8 +152,10 @@ func New(workers int) *Runner {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	r := &Runner{
-		simulate: sim.RunCtx,
-		cells:    map[sim.CellKey]*cell{},
+		simulate: func(ctx context.Context, sc sim.Scenario, p sim.Params) (*sim.Result, error) {
+			return sim.Run(ctx, sc, p, nil, nil)
+		},
+		cells: map[sim.CellKey]*cell{},
 	}
 	r.cond = sync.NewCond(&r.mu)
 	r.wg.Add(workers)

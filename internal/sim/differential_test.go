@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -68,7 +69,7 @@ func inlinedRunNative(sc Scenario, p Params) (*Result, error) {
 
 	var wr walker.Result
 	var now int64
-	measure := newMeter(sc.Workload, p)
+	measure := newMeter(p)
 	var walksTotal, refs int
 	var coDebt float64
 	measuring := false
@@ -100,7 +101,7 @@ func inlinedRunNative(sc Scenario, p Params) (*Result, error) {
 		}
 		now += int64(sc.Workload.DataStallCycles)
 		if measuring {
-			measure.access()
+			measure.access(&sc.Workload)
 		}
 	}
 	if !measuring {
@@ -148,7 +149,7 @@ func TestSchemeMatchesInlinedNativeLoop(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := Run(tc.sc, p)
+				got, err := Run(context.Background(), tc.sc, p, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

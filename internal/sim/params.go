@@ -8,6 +8,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -67,9 +68,10 @@ type Params struct {
 
 	// Processes co-schedules this many synthetic processes on the simulated
 	// core, time-sliced by a deterministic quantum scheduler. 0 and 1 both
-	// select the classic single-process run, which bypasses the scheduler
-	// entirely (and stays byte-identical to the pre-multi-process simulator).
-	// Process 0 runs Scenario.Workload; the rest come from Scenario.Mix.
+	// run Scenario.Workload alone: a one-process schedule that never
+	// switches and builds no scheduler, so QuantumRefs, FlushOnSwitch and the
+	// switch costs are unused. Above 1, process 0 runs Scenario.Workload and
+	// the rest come from Scenario.Mix.
 	Processes int
 	// QuantumRefs is the mean scheduler quantum in references; each slice's
 	// actual length is drawn deterministically from the run's seed (see
@@ -113,6 +115,41 @@ func DefaultParams() Params {
 		SwitchCycles:   3_000,
 		DescSwapCycles: 6,
 	}
+}
+
+// Validate checks a scenario cell before anything is built for it. Run calls
+// it first; the front ends (cmd/asapsim, asapd) call it to reject a cell at
+// the command line or at submission. A combination that would silently drop
+// a requested dimension is an error, not a quieter run of something else.
+func Validate(sc Scenario, p Params) error {
+	if err := mmu.Validate(sc.Scheme); err != nil {
+		return err
+	}
+	rival := sc.SchemeName() != "asap"
+	multi := p.Processes > 1
+	switch {
+	case rival && sc.Virtualized:
+		return fmt.Errorf("sim: scheme %s is native-only (scenario %s)", sc.SchemeName(), sc.Name())
+	case rival && sc.ASAP.Enabled():
+		return fmt.Errorf("sim: scheme %s does not combine with ASAP prefetching (scenario %s)", sc.SchemeName(), sc.Name())
+	case sc.Virtualized && sc.ASAP.Native.Enabled():
+		return fmt.Errorf("sim: Virtualized takes Guest/Host ASAP configs, not Native (scenario %s)", sc.Name())
+	case !sc.Virtualized && (sc.ASAP.Guest.Enabled() || sc.ASAP.Host.Enabled() || sc.HostHugePages):
+		return fmt.Errorf("sim: Guest/Host ASAP configs and HostHugePages need Virtualized (scenario %s)", sc.Name())
+	case sc.Trace != "" && (sc.Virtualized || multi):
+		return fmt.Errorf("sim: trace replay is native and single-process (scenario %s)", sc.Name())
+	case sc.Virtualized && multi:
+		return fmt.Errorf("sim: multi-process scheduling is native-only (Processes=%d with Virtualized)", p.Processes)
+	case sc.Mix != "" && !multi:
+		return fmt.Errorf("sim: Mix needs Processes > 1, got %d (scenario %s)", p.Processes, sc.Name())
+	case multi && p.QuantumRefs < 1:
+		return fmt.Errorf("sim: QuantumRefs must be positive with Processes > 1, got %d", p.QuantumRefs)
+	case (sc.Colocated || multi) && !(p.CoAccessCycles > 0 && !math.IsInf(p.CoAccessCycles, 1)):
+		return fmt.Errorf("sim: CoAccessCycles must be positive and finite, got %v (scenario %s)", p.CoAccessCycles, sc.Name())
+	case !(p.HoleProb >= 0 && p.HoleProb <= 1):
+		return fmt.Errorf("sim: HoleProb must be in [0, 1], got %v", p.HoleProb)
+	}
+	return nil
 }
 
 // ForRepeat returns the parameter set for the repeat-th independent repeat of
@@ -197,7 +234,7 @@ type Scenario struct {
 	// paper's pipeline), "victima" or "revelator". Empty selects asap — the
 	// zero value every pre-scheme cell carries, so historical names, digests
 	// and memo keys are unchanged. Rival schemes are native-only and exclude
-	// ASAP prefetch configurations (Run validates both).
+	// ASAP prefetch configurations (Validate checks both).
 	Scheme string
 }
 

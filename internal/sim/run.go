@@ -2,8 +2,6 @@ package sim
 
 import (
 	"context"
-	"fmt"
-	"math"
 
 	"repro/internal/cache"
 	"repro/internal/mem"
@@ -14,7 +12,7 @@ import (
 	"repro/internal/workload"
 )
 
-// ctxCheckMask paces cancellation checks in the reference loops: the context
+// ctxCheckMask paces cancellation checks in the reference loop: the context
 // is polled every ctxCheckMask+1 references. 4096 keeps the poll far off the
 // hot path (one interface call per ~4k translate steps, ≤1% on the walk
 // micros per the bench guard) while still bounding how long a cancelled run
@@ -115,79 +113,43 @@ func tapped(src refSource, tap RefTap, pid int, spec workload.Spec, layout *work
 	return tapSource{src: src, tap: tap, pid: pid}, nil
 }
 
-// Run simulates one scenario cell and returns its metrics.
-func Run(sc Scenario, p Params) (*Result, error) {
-	return RunTappedCtx(context.Background(), sc, p, nil)
-}
-
-// RunCtx is Run under a context: the reference loops poll ctx every few
-// thousand references (see ctxCheckMask) and abort with ctx.Err() when it is
-// cancelled or its deadline passes, so a stuck or oversized cell cannot hold
-// a worker hostage. A cancelled run returns no partial metrics — callers that
-// want partial grids handle cancellation per cell (see internal/asapd).
-func RunCtx(ctx context.Context, sc Scenario, p Params) (*Result, error) {
-	return RunTappedCtx(ctx, sc, p, nil)
-}
-
-// RunTapped simulates one scenario cell with an optional reference tap
-// observing the reference stream (nil behaves exactly like Run — the tap is
-// pure observation and never perturbs the simulation).
-func RunTapped(sc Scenario, p Params, tap RefTap) (*Result, error) {
-	return RunTappedCtx(context.Background(), sc, p, tap)
-}
-
-// RunTappedCtx is RunTapped under a context (see RunCtx for the cancellation
-// contract).
-func RunTappedCtx(ctx context.Context, sc Scenario, p Params, tap RefTap) (*Result, error) {
-	return RunObserved(ctx, sc, p, tap, nil)
-}
-
-// RunObserved is the fully instrumented entry point: RunTappedCtx plus an
-// optional cycle-domain event tracer observing the translation machinery
-// (nil behaves exactly like RunTappedCtx — observation never perturbs the
-// simulation, so metrics are identical with and without a tracer).
-func RunObserved(ctx context.Context, sc Scenario, p Params, tap RefTap, tr *obs.Tracer) (*Result, error) {
+// Run simulates one scenario cell and returns its metrics. It validates the
+// cell first (see Validate) and builds nothing for a rejected one.
+//
+// The reference loop polls ctx every few thousand references (see
+// ctxCheckMask) and aborts with ctx.Err() when it is cancelled or its
+// deadline passes, so a stuck or oversized cell cannot hold a worker
+// hostage. A cancelled run returns no partial metrics — callers that want
+// partial grids handle cancellation per cell (see internal/asapd).
+//
+// tap, when non-nil, observes the reference stream (trace capture); tr, when
+// non-nil, records cycle-domain events of the translation machinery. Both are
+// pure observation: metrics are identical with and without them.
+func Run(ctx context.Context, sc Scenario, p Params, tap RefTap, tr *obs.Tracer) (*Result, error) {
 	res := &Result{Scenario: sc}
-	if sc.Colocated || p.Processes > 1 {
-		if c := p.CoAccessCycles; !(c > 0) || math.IsInf(c, 1) {
-			return res, fmt.Errorf("sim: CoAccessCycles must be positive and finite, got %v (scenario %s)", c, sc.Name())
-		}
+	if err := Validate(sc, p); err != nil {
+		return res, err
 	}
 	h := cache.NewHierarchy(p.Cache)
 	mshr := cache.NewMSHRFile(p.MSHRs)
-
-	if err := mmu.Validate(sc.Scheme); err != nil {
+	setup := setupNative
+	if p.Processes > 1 {
+		setup = setupMix
+	} else if sc.Virtualized {
+		setup = setupVirt
+	}
+	sch, err := setup(sc, p, h, mshr, tap, tr)
+	if err != nil {
 		return res, err
 	}
-	if sc.SchemeName() != "asap" {
-		// Rival schemes replace the whole miss-handling path; combinations
-		// that would silently drop a requested dimension are rejected.
-		if sc.Virtualized {
-			return res, fmt.Errorf("sim: scheme %s is native-only (scenario %s)", sc.SchemeName(), sc.Name())
-		}
-		if sc.ASAP.Enabled() {
-			return res, fmt.Errorf("sim: scheme %s does not combine with ASAP prefetching (scenario %s)", sc.SchemeName(), sc.Name())
-		}
-	}
+	return res, drive(ctx, sc, p, sch, h, res, tr)
+}
 
-	var co *workload.CoRunner
-	if sc.Colocated {
-		co = workload.NewCoRunner(coRunnerBase.Addr(), coRunnerSpan*mem.PageSize, p.Seed^0xc0)
-	}
-
-	if sc.Trace != "" && (sc.Virtualized || p.Processes > 1) {
-		return res, fmt.Errorf("sim: trace replay is native and single-process (scenario %s)", sc.Name())
-	}
-	if p.Processes > 1 {
-		if sc.Virtualized {
-			return res, fmt.Errorf("sim: multi-process scheduling is native-only (Processes=%d with Virtualized)", p.Processes)
-		}
-		return res, runMulti(ctx, sc, p, h, mshr, co, res, tap, tr)
-	}
-	if sc.Virtualized {
-		return res, runVirt(ctx, sc, p, h, mshr, co, res, tap, tr)
-	}
-	return res, runNative(ctx, sc, p, h, mshr, co, res, tap, tr)
+// RunTapped is Run without a context or tracer. It exists only because the
+// repository benchmark (bench/, its own module) calls it; everything else
+// calls Run.
+func RunTapped(sc Scenario, p Params, tap RefTap) (*Result, error) {
+	return Run(context.Background(), sc, p, tap, nil)
 }
 
 // schemeFor constructs the scenario's native translation scheme over the
@@ -261,18 +223,44 @@ func (c *coTraffic) burst(stream *workload.CoRunner, n int) {
 	}
 }
 
-// drive replays a single-process reference stream through the scheme: the
-// shared measurement loop of the native, virtualized and trace-driven runs.
-func drive(ctx context.Context, sc Scenario, p Params, s mmu.Scheme, src refSource,
-	h *cache.Hierarchy, co *workload.CoRunner, res *Result, tr *obs.Tracer) error {
+// proc is one process on the simulated core: its spec (whose timing model
+// the loop charges), its reference stream, and — in a multi-process mix — the
+// data-traffic stream that models its cache footprint (see setupMix). Its
+// address-space state (page table, frame map, descriptor file) is attached
+// to the translation scheme under the process's pid, its index in the
+// schedule.
+type proc struct {
+	spec workload.Spec
+	src  refSource
+	data *workload.CoRunner
+}
+
+// schedule is what a setup builds: the translation scheme and the processes
+// time-sharing the core. A lone process has no scheduler, so its schedule
+// never switches; no workload.Scheduler is built for it, because that
+// constructor rejects the zero QuantumRefs single-process Params may carry.
+type schedule struct {
+	scheme mmu.Scheme
+	procs  []*proc
+	sched  *workload.Scheduler // nil: procs[0] runs alone
+}
+
+// drive replays a schedule's reference streams through its scheme: the one
+// measurement loop behind every run.
+func drive(ctx context.Context, sc Scenario, p Params, sch *schedule, h *cache.Hierarchy, res *Result, tr *obs.Tracer) error {
+	var co *workload.CoRunner
+	if sc.Colocated {
+		co = workload.NewCoRunner(coRunnerBase.Addr(), coRunnerSpan*mem.PageSize, p.Seed^0xc0)
+	}
 	var wr walker.Result
 	var now int64
-	measure := newMeter(sc.Workload, p)
-	var walksTotal, refs int
+	measure := newMeter(p)
+	var walksTotal, sliceRefs int
 	traffic := coTraffic{h: h, every: p.CoAccessCycles}
 	measuring := false
-	scheme := sc.SchemeName()
-	for refs = 0; refs < p.MaxRefs; refs++ {
+	schemeName := sc.SchemeName()
+	s, sched, cur := sch.scheme, sch.sched, sch.procs[0]
+	for refs := 0; refs < p.MaxRefs; refs++ {
 		if refs&ctxCheckMask == 0 && ctx.Err() != nil {
 			return ctx.Err()
 		}
@@ -286,14 +274,36 @@ func drive(ctx context.Context, sc Scenario, p Params, s mmu.Scheme, src refSour
 		if measuring && int(measure.walks) >= p.MeasureWalks {
 			break
 		}
-		va, ok := src.Next()
+		if sched != nil {
+			if pid, switched := sched.Tick(); switched {
+				// Replay the outgoing quantum's data-side cache footprint:
+				// one request per CoAccessCycles of the quantum's nominal
+				// progress (stall + retire time per reference; walk time is
+				// excluded so the replay is policy-independent).
+				nominal := cur.spec.DataStallCycles + cur.spec.InstrPerRef*p.CPIBase
+				traffic.burst(cur.data, int(float64(sliceRefs)*nominal/p.CoAccessCycles))
+				sliceRefs = 0
+				cur = sch.procs[pid]
+				moved := s.Switch(pid)
+				cost := p.SwitchCycles + p.DescSwapCycles*float64(moved)
+				if tr != nil {
+					tr.ProcessSwitch(now, pid, moved, int64(cost))
+				}
+				now += int64(cost)
+				if measuring {
+					measure.contextSwitch(cost)
+				}
+			}
+			sliceRefs++
+		}
+		va, ok := cur.src.Next()
 		if !ok {
 			break // the replayed trace ran dry
 		}
-		refCycles := sc.Workload.DataStallCycles + sc.Workload.InstrPerRef*p.CPIBase
+		refCycles := cur.spec.DataStallCycles + cur.spec.InstrPerRef*p.CPIBase
 		if s.Translate(now, va, &wr) {
 			if tr != nil {
-				tr.WalkEnd(now, wr.Cycles, scheme, measuring)
+				tr.WalkEnd(now, wr.Cycles, schemeName, measuring)
 			}
 			now += int64(wr.Cycles)
 			refCycles += float64(wr.Cycles)
@@ -309,9 +319,9 @@ func drive(ctx context.Context, sc Scenario, p Params, s mmu.Scheme, src refSour
 		if co != nil {
 			traffic.smt(co, refCycles)
 		}
-		now += int64(sc.Workload.DataStallCycles)
+		now += int64(cur.spec.DataStallCycles)
 		if measuring {
-			measure.access()
+			measure.access(&cur.spec)
 		}
 	}
 	if !measuring {
@@ -330,45 +340,47 @@ func drive(ctx context.Context, sc Scenario, p Params, s mmu.Scheme, src refSour
 	return nil
 }
 
-func runNative(ctx context.Context, sc Scenario, p Params, h *cache.Hierarchy,
-	mshr *cache.MSHRFile, co *workload.CoRunner, res *Result, tap RefTap, tr *obs.Tracer) error {
+// setupNative builds a native process — synthetic, or a registered trace's
+// capture — as a one-process schedule.
+func setupNative(sc Scenario, p Params, h *cache.Hierarchy, mshr *cache.MSHRFile, tap RefTap, tr *obs.Tracer) (*schedule, error) {
 	var asm *nativeAssembly
 	var src refSource
 	if sc.Trace != "" {
 		tr, err := traceByDigest(sc.Trace)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if asm, err = traceNativeFor(tr, sc.ASAP.Native.Enabled(), p); err != nil {
-			return err
+			return nil, err
 		}
 		src = tr.Replay()
 	} else {
 		var err error
 		if asm, err = nativeFor(sc.Workload, sc.ASAP.Native.Enabled(), p); err != nil {
-			return err
+			return nil, err
 		}
 		src = genSource{workload.NewGenerator(sc.Workload, asm.layout, p.Seed)}
 	}
 	src, err := tapped(src, tap, 0, sc.Workload, asm.layout, p.Seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	s, err := schemeFor(sc, p, h, mshr, tr)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	s.Attach(0, asm.process())
 	s.Boot(0)
 	tr.DefineProcess(0, sc.Workload.Name)
-	return drive(ctx, sc, p, s, src, h, co, res, tr)
+	return &schedule{scheme: s, procs: []*proc{{spec: sc.Workload, src: src}}}, nil
 }
 
-func runVirt(ctx context.Context, sc Scenario, p Params, h *cache.Hierarchy,
-	mshr *cache.MSHRFile, co *workload.CoRunner, res *Result, tap RefTap, tr *obs.Tracer) error {
+// setupVirt builds a virtual machine's nested translation as a one-process
+// schedule.
+func setupVirt(sc Scenario, p Params, h *cache.Hierarchy, mshr *cache.MSHRFile, tap RefTap, tr *obs.Tracer) (*schedule, error) {
 	asm, err := virtFor(sc.Workload, sc.ASAP.Guest.Enabled(), sc.ASAP.Host.Enabled(), sc.HostHugePages, p)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	s := mmu.NewNested(mmu.NestedConfig{
 		Hier:           h,
@@ -389,24 +401,22 @@ func runVirt(ctx context.Context, sc Scenario, p Params, h *cache.Hierarchy,
 	src, err := tapped(genSource{workload.NewGenerator(sc.Workload, asm.layout, p.Seed)},
 		tap, 0, sc.Workload, asm.layout, p.Seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	tr.DefineProcess(0, sc.Workload.Name)
-	return drive(ctx, sc, p, s, src, h, co, res, tr)
+	return &schedule{scheme: s, procs: []*proc{{spec: sc.Workload, src: src}}}, nil
 }
 
 // meter accumulates measured-window statistics and the execution-time model.
 type meter struct {
 	p               Params
-	spec            workload.Spec
 	accesses        uint64
 	walks           uint64
 	walkCycles      uint64
 	dataCycles      float64
 	switchCycles    float64
 	switches        uint64
-	instr           float64 // per-access instruction sum (multi-process only)
-	multi           bool    // accesses span processes with differing specs
+	instr           float64 // instructions retired, summed per reference
 	tlbAccesses0    uint64
 	tlbMisses0      uint64
 	flushes0        uint64
@@ -419,8 +429,8 @@ type meter struct {
 	dropped0        uint64
 }
 
-func newMeter(spec workload.Spec, p Params) *meter {
-	return &meter{p: p, spec: spec}
+func newMeter(p Params) *meter {
+	return &meter{p: p}
 }
 
 // begin snapshots the scheme's cumulative counters at the warmup/measure
@@ -440,20 +450,15 @@ func (m *meter) begin(c mmu.Counters) {
 	m.dropped0 = c.MSHRDropped
 }
 
-func (m *meter) access() {
-	m.accesses++
-	m.dataCycles += m.spec.DataStallCycles
-}
-
-// accessOf accounts one reference of the currently scheduled process. Unlike
-// access, it accumulates instructions per reference, because a mix's
-// processes retire different instruction counts per access; finish then uses
-// the accumulated sum instead of accesses × the primary spec's rate.
-func (m *meter) accessOf(spec workload.Spec) {
+// access accounts one measured reference of a process running spec.
+// Instructions are summed per reference because a mix's processes retire
+// different counts per access. For a lone process the sum equals accesses ×
+// InstrPerRef exactly only because every shipped spec's InstrPerRef is an
+// exact binary fraction (3.5, 4, 5, 8, 9), so no partial sum rounds.
+func (m *meter) access(spec *workload.Spec) {
 	m.accesses++
 	m.dataCycles += spec.DataStallCycles
 	m.instr += spec.InstrPerRef
-	m.multi = true
 }
 
 // contextSwitch accounts one measured-window switch and its modeled cost.
@@ -484,14 +489,10 @@ func (m *meter) finish(res *Result, c mmu.Counters) {
 	if n := c.TLBAccesses - m.tlbAccesses0; n > 0 {
 		res.TLBMissRatio = float64(c.TLBL2Misses-m.tlbMisses0) / float64(n)
 	}
-	instructions := float64(m.accesses) * m.spec.InstrPerRef
-	if m.multi {
-		instructions = m.instr
+	if m.instr > 0 {
+		res.MPKI = float64(c.TLBL2Misses-m.tlbMisses0) / (m.instr / 1000)
 	}
-	if instructions > 0 {
-		res.MPKI = float64(c.TLBL2Misses-m.tlbMisses0) / (instructions / 1000)
-	}
-	coreCycles := instructions * m.p.CPIBase
+	coreCycles := m.instr * m.p.CPIBase
 	res.TotalCycles = coreCycles + m.dataCycles + float64(m.walkCycles) + m.switchCycles
 	if res.TotalCycles > 0 {
 		res.WalkFraction = float64(m.walkCycles) / res.TotalCycles

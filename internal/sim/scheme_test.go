@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -21,22 +22,22 @@ func TestRunValidatesScheme(t *testing.T) {
 	ResetBuildCache()
 	mcf, _ := workload.ByName("mcf")
 	p := schemeTestParams()
-	if _, err := Run(Scenario{Workload: mcf, Scheme: "bogus"}, p); err == nil {
+	if _, err := Run(context.Background(), Scenario{Workload: mcf, Scheme: "bogus"}, p, nil, nil); err == nil {
 		t.Fatal("unknown scheme accepted")
 	} else if !strings.Contains(err.Error(), "victima") {
 		t.Fatalf("unknown-scheme error does not list valid names: %v", err)
 	}
 	for _, scheme := range []string{"victima", "revelator"} {
-		if _, err := Run(Scenario{Workload: mcf, Scheme: scheme, Virtualized: true}, p); err == nil {
+		if _, err := Run(context.Background(), Scenario{Workload: mcf, Scheme: scheme, Virtualized: true}, p, nil, nil); err == nil {
 			t.Fatalf("%s + virtualized accepted", scheme)
 		}
-		if _, err := Run(Scenario{Workload: mcf, Scheme: scheme, ASAP: cfgTestP1P2()}, p); err == nil {
+		if _, err := Run(context.Background(), Scenario{Workload: mcf, Scheme: scheme, ASAP: cfgTestP1P2()}, p, nil, nil); err == nil {
 			t.Fatalf("%s + ASAP prefetch accepted", scheme)
 		}
 	}
 	// The explicit asap selection is valid and carries the axis through the
 	// scenario name.
-	res, err := Run(Scenario{Workload: mcf, Scheme: "asap"}, p)
+	res, err := Run(context.Background(), Scenario{Workload: mcf, Scheme: "asap"}, p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,13 +53,13 @@ func TestRivalSchemesRun(t *testing.T) {
 	ResetBuildCache()
 	mcf, _ := workload.ByName("mcf")
 	p := schemeTestParams()
-	base, err := Run(Scenario{Workload: mcf}, p)
+	base, err := Run(context.Background(), Scenario{Workload: mcf}, p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, scheme := range []string{"victima", "revelator"} {
 		t.Run(scheme, func(t *testing.T) {
-			res, err := Run(Scenario{Workload: mcf, Scheme: scheme}, p)
+			res, err := Run(context.Background(), Scenario{Workload: mcf, Scheme: scheme}, p, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +95,7 @@ func TestRivalSchemesMultiprocessPolicies(t *testing.T) {
 			p := schemeTestParams()
 			p.Processes = 2
 			p.FlushOnSwitch = flush
-			res, err := Run(Scenario{Workload: mcf, Scheme: scheme, Mix: "mcf,canneal"}, p)
+			res, err := Run(context.Background(), Scenario{Workload: mcf, Scheme: scheme, Mix: "mcf,canneal"}, p, nil, nil)
 			if err != nil {
 				t.Fatalf("%s flush=%v: %v", scheme, flush, err)
 			}

@@ -46,7 +46,7 @@ func fastParams() Params {
 
 func run(t *testing.T, sc Scenario, p Params) *Result {
 	t.Helper()
-	res, err := Run(sc, p)
+	res, err := Run(context.Background(), sc, p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +473,7 @@ func TestMultiprocSingleProcessBypass(t *testing.T) {
 func TestMultiprocVirtualizedRejected(t *testing.T) {
 	p := fastParams()
 	p.Processes = 2
-	if _, err := Run(Scenario{Workload: tinySpec(), Virtualized: true}, p); err == nil {
+	if _, err := Run(context.Background(), Scenario{Workload: tinySpec(), Virtualized: true}, p, nil, nil); err == nil {
 		t.Fatal("virtualized multi-process run accepted")
 	}
 }
@@ -481,7 +481,7 @@ func TestMultiprocVirtualizedRejected(t *testing.T) {
 func TestMultiprocUnknownMixRejected(t *testing.T) {
 	p := fastParams()
 	p.Processes = 2
-	if _, err := Run(Scenario{Workload: tinySpec(), Mix: "nosuch"}, p); err == nil {
+	if _, err := Run(context.Background(), Scenario{Workload: tinySpec(), Mix: "nosuch"}, p, nil, nil); err == nil {
 		t.Fatal("unknown mix workload accepted")
 	}
 }
@@ -496,12 +496,91 @@ func TestRunRejectsBadCoAccessCycles(t *testing.T) {
 			p.CoAccessCycles = c
 			p.Processes = procs
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			_, err := RunCtx(ctx, Scenario{Workload: tinySpec(), Colocated: procs == 1}, p)
+			_, err := Run(ctx, Scenario{Workload: tinySpec(), Colocated: procs == 1}, p, nil, nil)
 			cancel()
 			if err == nil || errors.Is(err, context.DeadlineExceeded) {
 				t.Errorf("CoAccessCycles=%v, Processes=%d: err = %v, want a validation error", c, procs, err)
 			}
 		}
+	}
+}
+
+// countingTap counts the processes a run announces. Setups announce each
+// process while building it, so a run rejected up front announces none.
+type countingTap struct{ begun int }
+
+func (c *countingTap) BeginProcess(int, workload.Spec, *workload.Layout, uint64) error {
+	c.begun++
+	return nil
+}
+
+func (c *countingTap) Ref(int, mem.VirtAddr) {}
+
+func builtAssemblies() int {
+	buildMu.Lock()
+	defer buildMu.Unlock()
+	return len(buildCache)
+}
+
+// TestValidate runs one cell per Validate rule through Run and requires
+// Validate's error before anything is built: no assembly in the build cache
+// and no process announced to the tap.
+func TestValidate(t *testing.T) {
+	ctx := context.Background()
+	// Control: a valid cell builds and announces, so the checks can fail.
+	ResetBuildCache()
+	var tap countingTap
+	if _, err := Run(ctx, Scenario{Workload: tinySpec()}, fastParams(), &tap, nil); err != nil {
+		t.Fatal(err)
+	}
+	if tap.begun != 1 || builtAssemblies() == 0 {
+		t.Fatalf("valid cell: %d processes announced, %d assemblies built", tap.begun, builtAssemblies())
+	}
+
+	p1 := core.Config{P1: true}
+	procs := func(n int) func(*Params) { return func(p *Params) { p.Processes = n } }
+	for _, tc := range []struct {
+		name string
+		sc   Scenario
+		mut  func(*Params)
+	}{
+		{"unknown scheme", Scenario{Scheme: "bogus"}, nil},
+		{"rival scheme virtualized", Scenario{Scheme: "victima", Virtualized: true}, nil},
+		{"rival scheme with ASAP", Scenario{Scheme: "revelator", ASAP: ASAPConfig{Native: p1}}, nil},
+		{"virtualized native ASAP", Scenario{Virtualized: true, ASAP: ASAPConfig{Native: p1}}, nil},
+		{"guest without virt", Scenario{ASAP: ASAPConfig{Guest: p1}}, nil},
+		{"host without virt", Scenario{ASAP: ASAPConfig{Host: p1}}, nil},
+		{"huge pages without virt", Scenario{HostHugePages: true}, nil},
+		{"trace virtualized", Scenario{Trace: "deadbeefdeadbeef", Virtualized: true}, nil},
+		{"trace multi-process", Scenario{Trace: "deadbeefdeadbeef"}, procs(2)},
+		{"virtualized multi-process", Scenario{Virtualized: true}, procs(2)},
+		{"mix single-process", Scenario{Mix: "mcf"}, nil},
+		{"zero quantum", Scenario{}, func(p *Params) { p.Processes, p.QuantumRefs = 2, 0 }},
+		{"colocated zero pacing", Scenario{Colocated: true}, func(p *Params) { p.CoAccessCycles = 0 }},
+		{"multi-process infinite pacing", Scenario{}, func(p *Params) { p.Processes, p.CoAccessCycles = 2, math.Inf(1) }},
+		{"hole probability above 1", Scenario{}, func(p *Params) { p.HoleProb = 1.5 }},
+		{"negative hole probability", Scenario{}, func(p *Params) { p.HoleProb = -0.1 }},
+		{"NaN hole probability", Scenario{}, func(p *Params) { p.HoleProb = math.NaN() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ResetBuildCache()
+			sc, p := tc.sc, fastParams()
+			sc.Workload = tinySpec()
+			if tc.mut != nil {
+				tc.mut(&p)
+			}
+			want := Validate(sc, p)
+			if want == nil {
+				t.Fatal("Validate accepted the cell")
+			}
+			var tap countingTap
+			if _, err := Run(ctx, sc, p, &tap, nil); err == nil || err.Error() != want.Error() {
+				t.Fatalf("Run: err = %v, want Validate's %q", err, want)
+			}
+			if tap.begun != 0 || builtAssemblies() != 0 {
+				t.Fatalf("rejected cell built: %d processes announced, %d assemblies", tap.begun, builtAssemblies())
+			}
+		})
 	}
 }
 

@@ -20,8 +20,8 @@ var (
 // the trace header's spec as the workload (the meter charges its timing
 // model) and the content digest as the trace source. Callers layer further
 // scenario dimensions (ASAP configs, colocation, a clustered TLB) on the
-// returned value; virtualization and multi-process scheduling are rejected at
-// run time.
+// returned value; Validate rejects virtualization and multi-process
+// scheduling.
 func UseTrace(tr *trace.Trace) Scenario {
 	traceMu.Lock()
 	traceReg[tr.Digest] = tr

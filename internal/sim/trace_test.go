@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"reflect"
 	"testing"
@@ -33,7 +34,7 @@ func recordScenario(t *testing.T, sc Scenario, p Params, compress bool) (*Result
 		bufs[pid] = b
 		return bufCloser{b}, nil
 	}, compress)
-	res, err := RunTapped(sc, p, rec)
+	res, err := Run(context.Background(), sc, p, rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestRecordReplayFidelity(t *testing.T) {
 			tsc.ASAP = tc.sc.ASAP
 			tsc.Colocated = tc.sc.Colocated
 			tsc.Scheme = tc.sc.Scheme
-			replayed, err := Run(tsc, p)
+			replayed, err := Run(context.Background(), tsc, p, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,17 +155,17 @@ func TestTraceScenarioRejectsBadDimensions(t *testing.T) {
 	}
 	sc := UseTrace(tr)
 	sc.Virtualized = true
-	if _, err := Run(sc, p); err == nil {
+	if _, err := Run(context.Background(), sc, p, nil, nil); err == nil {
 		t.Fatal("virtualized trace replay accepted")
 	}
 	sc = UseTrace(tr)
 	pp := p
 	pp.Processes = 2
-	if _, err := Run(sc, pp); err == nil {
+	if _, err := Run(context.Background(), sc, pp, nil, nil); err == nil {
 		t.Fatal("multi-process trace replay accepted")
 	}
 	// An unregistered digest errors cleanly.
-	if _, err := Run(Scenario{Workload: mcf, Trace: "deadbeefdeadbeef"}, p); err == nil {
+	if _, err := Run(context.Background(), Scenario{Workload: mcf, Trace: "deadbeefdeadbeef"}, p, nil, nil); err == nil {
 		t.Fatal("unregistered trace digest accepted")
 	}
 }
@@ -207,7 +208,7 @@ func TestTinyHandBuiltTraceReplaysCleanly(t *testing.T) {
 	sc := UseTrace(tr)
 	sc.ASAP = cfgTestP1P2()
 	p := traceTestParams()
-	if _, err := Run(sc, p); err != nil {
+	if _, err := Run(context.Background(), sc, p, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -228,7 +229,7 @@ func TestTraceRunsDryBeforeWarmup(t *testing.T) {
 	sc := UseTrace(tr)
 	big := p
 	big.WarmupWalks = 1 << 30 // warmup can never complete on this trace
-	res, err := Run(sc, big)
+	res, err := Run(context.Background(), sc, big, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
