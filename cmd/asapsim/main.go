@@ -17,13 +17,10 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/mmu"
-	"repro/internal/obs"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -51,7 +48,6 @@ func main() {
 		quantum   = flag.Int("quantum", 0, "mean scheduler quantum in references (0 = default)")
 		timeout   = flag.Duration("timeout", 0, "abort the simulation after this duration (0 = none)")
 		flushSw   = flag.Bool("flushswitch", false, "flush TLBs/PWCs on context switch instead of ASID-tagged retention")
-		progress  = flag.Bool("progress", false, "report live cell progress on stderr")
 	)
 	flag.Parse()
 
@@ -120,26 +116,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	// A single cell gains nothing from parallelism, but routing through the
-	// runner keeps asapsim on the same executor as cmd/paperrepro and the
-	// benchmarks.
-	r := runner.New(1)
-	defer r.Close()
-	if *progress {
-		defer startProgress(r)()
-	}
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	res, err := r.RunCtx(ctx, sc, p)
+	res, err := sim.Run(ctx, sc, p, nil, nil)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			fmt.Fprintf(os.Stderr, "sim: timed out after %s (scenario %s)\n", *timeout, sc.Name())
 		} else {
-			fmt.Fprintln(os.Stderr, "sim:", err)
+			fmt.Fprintln(os.Stderr, err) // sim's errors carry their "sim:" prefix
 		}
 		os.Exit(1)
 	}
@@ -174,39 +162,6 @@ func main() {
 		fmt.Println()
 		fmt.Print(breakdownTable(res))
 	}
-}
-
-// startProgress polls the runner's progress counters (cmd/paperrepro has the
-// same poller over its multi-cell grids; here it mostly reports the single
-// cell's in-flight state while a long simulation runs). The returned func
-// stops the poller.
-func startProgress(r *runner.Runner) func() {
-	meter := obs.NewProgressMeter(0, 0)
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		tick := time.NewTicker(500 * time.Millisecond)
-		defer tick.Stop()
-		var last runner.Progress
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-			}
-			p := r.Progress()
-			if p == last {
-				continue
-			}
-			last = p
-			meter.SetTotal(int64(p.Submitted))
-			meter.Observe(time.Now().UnixNano(), int64(p.Done))
-			fmt.Fprintf(os.Stderr, "progress: %s · %d in flight\n",
-				obs.FormatProgress("cells", meter.Snapshot()), p.InFlight)
-		}
-	}()
-	return func() { close(stop); <-done }
 }
 
 func parseASAP(s string) core.Config {

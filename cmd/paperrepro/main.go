@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	paperrepro -exp all                       # everything (several minutes)
+//	paperrepro -exp all                       # everything (27–43 s at -j 2)
 //	paperrepro -exp fig8                      # one experiment
 //	paperrepro -exp fig10 -fast               # reduced measurement protocol
 //	paperrepro -exp all -j 8                  # fan scenario cells over 8 workers
@@ -26,7 +26,7 @@
 // in the format selected by -format (csv or json).
 //
 // -progress prints live cell progress to stderr (done/submitted, a decaying
-// cells-per-second rate and an ETA) — useful for the multi-minute full grids.
+// cells-per-second rate and an ETA) whenever the counts move.
 //
 // -timeout D bounds the whole run: on expiry in-flight simulations abort at
 // the simulator's next context check, the exit code is 1, and stderr lists

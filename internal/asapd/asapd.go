@@ -259,7 +259,7 @@ func (s *Service) runJob(j *Job) {
 			s.finishCell(j, i, pc, SourceStore, res)
 			continue
 		}
-		futures[i] = s.runner.SubmitRepeatCtx(ctx, pc.sc, pc.base, pc.repeat)
+		futures[i] = s.runner.SubmitCtx(ctx, pc.sc, pc.params())
 	}
 	for i, f := range futures {
 		if f == nil {
@@ -296,7 +296,7 @@ func (s *Service) collect(ctx context.Context, f *runner.Future, pc plannedCell)
 			}
 			return nil, err
 		}
-		f = s.runner.SubmitRepeatCtx(ctx, pc.sc, pc.base, pc.repeat)
+		f = s.runner.SubmitCtx(ctx, pc.sc, pc.params())
 	}
 }
 

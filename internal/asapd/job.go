@@ -99,16 +99,21 @@ func (ps ParamSpec) params() sim.Params {
 }
 
 // plannedCell is one (cell, repeat) unit of work after validation: the
-// scenario, the job's base parameter set, and the repeat index. The memo/
-// store key is sim.Key(sc, base.ForRepeat(repeat)).
+// scenario, the job's base parameter set, and the repeat index. The cell it
+// simulates, and so its memo/store key, is (sc, params()).
 type plannedCell struct {
 	sc     sim.Scenario
 	base   sim.Params
 	repeat int
 }
 
+// params is the repeat's parameter set: base with its derived seed.
+func (pc plannedCell) params() sim.Params {
+	return pc.base.ForRepeat(pc.repeat)
+}
+
 func (pc plannedCell) key() sim.CellKey {
-	return sim.Key(pc.sc, pc.base.ForRepeat(pc.repeat))
+	return sim.Key(pc.sc, pc.params())
 }
 
 // scenario parses one cell spec into its Scenario (plan validates the

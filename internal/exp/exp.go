@@ -111,12 +111,13 @@ func (o Options) run(sc sim.Scenario) (*cellResult, error) {
 	n := o.repeats()
 	rs := make([]*sim.Result, n)
 	for i := 0; i < n; i++ {
+		p := o.Params.ForRepeat(i)
 		var r *sim.Result
 		var err error
 		if o.Runner != nil {
-			r, err = o.Runner.RunRepeatCtx(o.ctx(), sc, o.Params, i)
+			r, err = o.Runner.RunCtx(o.ctx(), sc, p)
 		} else {
-			r, err = sim.Run(o.ctx(), sc, o.Params.ForRepeat(i), nil, nil)
+			r, err = sim.Run(o.ctx(), sc, p, nil, nil)
 		}
 		if err != nil {
 			return nil, err
@@ -151,7 +152,7 @@ func (o Options) prefetch(scs ...sim.Scenario) {
 	for _, sc := range scs {
 		sc = o.withScheme(sc)
 		for i := 0; i < o.repeats(); i++ {
-			o.Runner.SubmitRepeatCtx(o.ctx(), sc, o.Params, i)
+			o.Runner.SubmitCtx(o.ctx(), sc, o.Params.ForRepeat(i))
 		}
 	}
 }

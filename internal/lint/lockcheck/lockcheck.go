@@ -38,7 +38,7 @@ var Analyzer = &analysis.Analyzer{
 // starting with Try never block by contract and are not listed.
 var blockingNames = map[string]bool{
 	"Wait": true, "WaitCtx": true, "Sleep": true, "Pop": true,
-	"Submit": true, "SubmitCtx": true, "SubmitRepeat": true, "SubmitRepeatCtx": true,
+	"Submit": true, "SubmitCtx": true,
 }
 
 // op is one lock or unlock call found in a function.

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"regexp"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -15,6 +17,11 @@ import (
 // series within a family are identified by their ordered label sets.
 // Exposition sorts families by name and series by label values, so output
 // order is deterministic regardless of registration or update order.
+//
+// The format's rules are checked once, when a series is created (see
+// checkSeries), and a registration that breaks one panics like a kind
+// conflict does: both are programming errors. WriteProm therefore only ever
+// renders registrations that passed.
 
 // Label is one key/value metric label. Series carry ordered []Label slices —
 // never maps — so identity and exposition order are deterministic.
@@ -70,11 +77,12 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket histogram. Upper bounds are set at
-// registration; a +Inf bucket is implicit. Observations take a mutex —
-// histograms live on instrumentation paths, not disabled hot paths.
+// registration (finite, strictly ascending); a +Inf bucket is implicit.
+// Observations take a mutex — histograms live on instrumentation paths, not
+// disabled hot paths.
 type Histogram struct {
 	mu     sync.Mutex
-	upper  []float64 // sorted, exclusive of +Inf
+	upper  []float64 // strictly ascending, exclusive of +Inf
 	counts []uint64  // len(upper)+1; last is the +Inf bucket
 	sum    float64
 	total  uint64
@@ -143,17 +151,60 @@ func labelsEqual(a, b []Label) bool {
 	return true
 }
 
+var (
+	metricNameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+	labelNameRe  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
+)
+
+// checkSeries reports why a series about to be created would render as an
+// invalid exposition: a metric name or label name outside the Prometheus
+// grammar, a repeated label, a reserved label (any __ prefix, and le on a
+// histogram, whose buckets carry it), help text that is empty or spans more
+// than one line, or histogram bounds that are not finite and strictly
+// ascending (+Inf is implicit).
+func checkSeries(name, help string, kind metricKind, labels []Label, upper []float64) error {
+	if !metricNameRe.MatchString(name) {
+		return fmt.Errorf("metric name %q does not match %s", name, metricNameRe)
+	}
+	if help == "" || strings.Contains(help, "\n") {
+		return fmt.Errorf("metric %q: help must be one non-empty line, got %q", name, help)
+	}
+	for i, l := range labels {
+		switch {
+		case !labelNameRe.MatchString(l.Key):
+			return fmt.Errorf("metric %q: label name %q does not match %s", name, l.Key, labelNameRe)
+		case strings.HasPrefix(l.Key, "__"):
+			return fmt.Errorf("metric %q: label name %q is reserved", name, l.Key)
+		case kind == kindHistogram && l.Key == "le":
+			return fmt.Errorf("metric %q: label le is reserved for histogram buckets", name)
+		}
+		for _, prev := range labels[:i] {
+			if prev.Key == l.Key {
+				return fmt.Errorf("metric %q: label %q repeated", name, l.Key)
+			}
+		}
+	}
+	for i, b := range upper {
+		if math.IsNaN(b) || math.IsInf(b, 0) || (i > 0 && b <= upper[i-1]) {
+			return fmt.Errorf("metric %q: bucket bounds %v are not finite and strictly ascending", name, upper)
+		}
+	}
+	return nil
+}
+
 // lookup finds or creates the family and its series for the ordered label
-// set. Registering the same name with a different kind panics: that is a
-// programming error, not a runtime condition.
-func (r *Registry) lookup(name, help string, kind metricKind, labels []Label) *series {
+// set; upper is a new histogram series' bucket bounds. Registering the same
+// name with a different kind, or a series checkSeries rejects, panics: that
+// is a programming error, not a runtime condition. A rejected series leaves
+// the registry untouched.
+func (r *Registry) lookup(name, help string, kind metricKind, labels []Label, upper []float64) *series {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.fams[name]
-	if f == nil {
+	switch {
+	case f == nil:
 		f = &family{name: name, help: help, kind: kind}
-		r.fams[name] = f
-	} else if f.kind != kind {
+	case f.kind != kind:
 		panic(fmt.Sprintf("obs: metric %q registered as %s and %s", name, f.kind, kind))
 	}
 	for _, s := range f.series {
@@ -161,42 +212,42 @@ func (r *Registry) lookup(name, help string, kind metricKind, labels []Label) *s
 			return s
 		}
 	}
+	if err := checkSeries(name, help, kind, labels, upper); err != nil {
+		panic("obs: " + err.Error())
+	}
 	s := &series{labels: labels}
 	switch kind {
 	case kindCounter:
 		s.c = &Counter{}
 	case kindGauge:
 		s.g = &Gauge{}
+	case kindHistogram:
+		bounds := append([]float64(nil), upper...)
+		s.h = &Histogram{upper: bounds, counts: make([]uint64, len(bounds)+1)}
 	}
 	f.series = append(f.series, s)
+	r.fams[name] = f
 	return s
 }
 
 // Counter returns the counter for name and the ordered label set,
 // registering it on first use.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	return r.lookup(name, help, kindCounter, labels).c
+	return r.lookup(name, help, kindCounter, labels, nil).c
 }
 
 // Gauge returns the gauge for name and the ordered label set, registering it
 // on first use.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	return r.lookup(name, help, kindGauge, labels).g
+	return r.lookup(name, help, kindGauge, labels, nil).g
 }
 
 // Histogram returns the histogram for name and the ordered label set,
 // registering it with the given upper bounds on first use. Bounds must be
-// sorted ascending; +Inf is implicit. Later calls for an existing series
-// ignore the bounds argument.
+// finite and strictly ascending; +Inf is implicit. Later calls for an
+// existing series ignore the bounds argument.
 func (r *Registry) Histogram(name, help string, upper []float64, labels ...Label) *Histogram {
-	s := r.lookup(name, help, kindHistogram, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.h == nil {
-		bounds := append([]float64(nil), upper...)
-		s.h = &Histogram{upper: bounds, counts: make([]uint64, len(bounds)+1)}
-	}
-	return s.h
+	return r.lookup(name, help, kindHistogram, labels, upper).h
 }
 
 // formatValue renders a sample value the way Prometheus expects: integers
@@ -209,10 +260,10 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// formatBound renders a histogram upper bound for an le label.
-func formatBound(v float64) string {
-	return formatValue(v)
-}
+// labelValueEscaper applies the only three escapes the text format defines
+// for label values; every other byte, a tab or a NUL included, is written
+// as is.
+var labelValueEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 func writeLabels(w io.Writer, labels []Label, extra ...Label) {
 	all := labels
@@ -227,7 +278,7 @@ func writeLabels(w io.Writer, labels []Label, extra ...Label) {
 		if i > 0 {
 			io.WriteString(w, ",")
 		}
-		fmt.Fprintf(w, "%s=%q", l.Key, l.Val)
+		io.WriteString(w, l.Key+`="`+labelValueEscaper.Replace(l.Val)+`"`)
 	}
 	io.WriteString(w, "}")
 }
@@ -249,7 +300,9 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	r.mu.Unlock()
 
 	for _, f := range fams {
-		fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
+		// Help text cannot hold a newline (checkSeries), so a backslash is
+		// the only byte that needs its escape.
+		fmt.Fprintf(w, "# HELP %s %s\n", f.name, strings.ReplaceAll(f.help, `\`, `\\`))
 		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind)
 		ser := append([]*series(nil), f.series...)
 		sort.Slice(ser, func(i, j int) bool {
@@ -275,7 +328,7 @@ func (r *Registry) WriteProm(w io.Writer) error {
 				cum, sum, total := s.h.snapshot()
 				for i, bound := range s.h.upper {
 					io.WriteString(w, f.name+"_bucket")
-					writeLabels(w, s.labels, Label{"le", formatBound(bound)})
+					writeLabels(w, s.labels, Label{"le", formatValue(bound)})
 					fmt.Fprintf(w, " %d\n", cum[i])
 				}
 				io.WriteString(w, f.name+"_bucket")

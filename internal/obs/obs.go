@@ -18,6 +18,8 @@
 //     reading a clock.
 //   - Exports use boring, widely readable formats: Chrome trace_event JSON
 //     (loadable in Perfetto / chrome://tracing) for events, the Prometheus
-//     text exposition format for metrics. ValidateTraceJSON and LintProm
-//     check both without external tooling, so CI can gate on them.
+//     text exposition format for metrics. ValidateTraceJSON checks a trace
+//     file without external tooling, so CI can gate on it; the Registry
+//     checks each metric against the exposition rules when its series is
+//     created, so WriteProm has no invalid registration to render.
 package obs

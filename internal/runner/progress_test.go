@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 // TestProgressCounters drives a small grid through the pool and checks the
 // counters at the points where their values are determined: all cells
-// accounted submitted after the Submit loop, everything drained after the
+// accounted submitted after the SubmitCtx loop, everything drained after the
 // waits, and the Submitted = Done + InFlight + queued identity preserved at
 // every snapshot in between.
 func TestProgressCounters(t *testing.T) {
@@ -26,9 +27,9 @@ func TestProgressCounters(t *testing.T) {
 	var futures []*Future
 	for _, name := range []string{"mcf", "canneal", "bfs"} {
 		sc := testScenario(t, name)
-		futures = append(futures, r.Submit(sc, p))
+		futures = append(futures, r.SubmitCtx(context.Background(), sc, p))
 		// Duplicate submissions share the cell and must not inflate Submitted.
-		futures = append(futures, r.Submit(sc, p))
+		futures = append(futures, r.SubmitCtx(context.Background(), sc, p))
 	}
 	if pr := r.Progress(); pr.Submitted != 3 {
 		t.Fatalf("submitted = %d after 3 unique cells (6 submissions)", pr.Submitted)
@@ -55,7 +56,7 @@ func TestProgressCounters(t *testing.T) {
 		}
 	}()
 	for _, f := range futures {
-		if _, err := f.Wait(); err != nil {
+		if _, err := f.WaitCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}

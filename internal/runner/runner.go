@@ -9,15 +9,19 @@
 // matter how many experiments request it. Requests are singleflight —
 // concurrent submissions of the same key share one in-flight simulation.
 //
-// Experiments submit their full grid up front with Submit and then collect
-// results in submission order with Future.Wait (or call Run, which is
-// Submit+Wait), so rendered output is byte-identical to a sequential run.
+// A cell is addressed by its (Scenario, Params) pair alone. Experiments
+// submit their full grid up front with SubmitCtx and then collect results in
+// submission order with Future.WaitCtx (or call RunCtx, which is
+// SubmitCtx+WaitCtx), so rendered output is byte-identical to a sequential
+// run. Independent repeats of a cell are distinct cells: callers pass
+// Params.ForRepeat(rep), whose derived seed is part of the key, and repeat 0
+// is the base cell itself.
 //
 // # Lifecycle
 //
 // New starts the worker pool; Close drains the queue, stops the workers and
 // waits for them to exit. Close is idempotent and safe to call from multiple
-// goroutines concurrently, and it is safe to race with in-flight Submit
+// goroutines concurrently, and it is safe to race with in-flight SubmitCtx
 // calls: a submission that loses the race against Close executes inline on
 // the submitting goroutine, so its Future still completes. Futures obtained
 // at any point remain valid after Close. A Runner holds no resources beyond
@@ -58,7 +62,7 @@ type cell struct {
 	res     *sim.Result
 	err     error
 	settled bool // simulation finished (guarded by Runner.mu)
-	claimed bool // a Wait already consumed this cell (guarded by Runner.mu)
+	claimed bool // a WaitCtx already consumed this cell (guarded by Runner.mu)
 }
 
 // Future is a handle on a submitted cell.
@@ -67,33 +71,24 @@ type Future struct {
 	c *cell
 }
 
-// Wait blocks until the cell's simulation completes and returns its result.
-// The result is shared between all requesters of the cell and must be treated
-// as read-only.
+// WaitCtx blocks until the cell's simulation completes and returns its
+// result, or returns ctx.Err() if ctx ends first. An abandoned wait does not
+// consume the cell, and the simulation keeps running for its other
+// requesters (cancel the submission's context to abort the work itself). The
+// result is shared between all requesters of the cell and must be treated as
+// read-only.
 //
-// Stats are counted here rather than at Submit so that the common
+// Stats are counted here rather than at SubmitCtx so that the common
 // prefetch-then-collect pattern does not count its own prefetch as a cache
-// hit: the first Wait on a cell is the miss (the simulation that actually
-// ran), every further Wait is a hit (a simulation avoided by memoization).
-func (f *Future) Wait() (*sim.Result, error) {
-	<-f.c.done
-	return f.claim()
-}
-
-// WaitCtx is Wait bounded by ctx: if ctx ends first, WaitCtx returns
-// ctx.Err() without consuming the cell, and the simulation keeps running for
-// its other requesters (cancel the submission's context to abort the work
-// itself).
+// hit: the first completed WaitCtx on a cell is the miss (the simulation
+// that actually ran), every further one is a hit (a simulation avoided by
+// memoization).
 func (f *Future) WaitCtx(ctx context.Context) (*sim.Result, error) {
 	select {
 	case <-f.c.done:
-		return f.claim()
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-}
-
-func (f *Future) claim() (*sim.Result, error) {
 	f.r.mu.Lock()
 	if f.c.claimed {
 		f.r.hits++
@@ -207,19 +202,13 @@ func (r *Runner) exec(c *cell) {
 	close(c.done)
 }
 
-// Submit queues the cell for execution (unless an equal cell was already
-// submitted, in which case the existing one is shared) and returns a Future
-// for its result. Submit never blocks on simulation work and does not count
-// toward Stats — experiments prefetch their whole grid through Submit and
-// collect through Wait, and only collection says whether memoization saved a
-// simulation.
-func (r *Runner) Submit(sc sim.Scenario, p sim.Params) *Future {
-	return r.SubmitCtx(context.Background(), sc, p)
-}
-
-// SubmitCtx is Submit with a context governing the cell's simulation (see
-// the package comment: the first submitter's context wins; cancelled cells
-// are evicted from the memo on completion).
+// SubmitCtx queues the cell for execution under ctx and returns a Future for
+// its result. An equal cell already submitted is shared instead (see the
+// package comment: the first submitter's context wins, and cancelled cells
+// are evicted from the memo on completion). SubmitCtx never blocks on
+// simulation work and does not count toward Stats — experiments prefetch
+// their whole grid through SubmitCtx and collect through WaitCtx, and only
+// collection says whether memoization saved a simulation.
 func (r *Runner) SubmitCtx(ctx context.Context, sc sim.Scenario, p sim.Params) *Future {
 	k := sim.Key(sc, p)
 	r.mu.Lock()
@@ -251,40 +240,12 @@ func (r *Runner) SubmitCtx(ctx context.Context, sc sim.Scenario, p sim.Params) *
 	return &Future{r, c}
 }
 
-// Run simulates one cell, sharing any prior (or in-flight) simulation of the
-// same key. It blocks until the result is available.
-func (r *Runner) Run(sc sim.Scenario, p sim.Params) (*sim.Result, error) {
-	return r.Submit(sc, p).Wait()
-}
-
-// RunCtx is Run under a context: the context governs the simulation when
-// this call is the cell's first submitter, and always bounds the wait.
+// RunCtx simulates one cell, sharing any prior (or in-flight) simulation of
+// the same key, and blocks until the result is available: ctx governs the
+// simulation when this call is the cell's first submitter, and always bounds
+// the wait.
 func (r *Runner) RunCtx(ctx context.Context, sc sim.Scenario, p sim.Params) (*sim.Result, error) {
 	return r.SubmitCtx(ctx, sc, p).WaitCtx(ctx)
-}
-
-// SubmitRepeat queues the rep-th independent repeat of a cell. The memo key
-// is repeat-aware through seed derivation: Params.ForRepeat folds the repeat
-// index into the seed, so distinct repeats are distinct cells (each simulated
-// once no matter how many experiments request them) while repeat 0 shares the
-// base cell with plain Submit.
-func (r *Runner) SubmitRepeat(sc sim.Scenario, p sim.Params, rep int) *Future {
-	return r.Submit(sc, p.ForRepeat(rep))
-}
-
-// SubmitRepeatCtx is SubmitRepeat with a context (see SubmitCtx).
-func (r *Runner) SubmitRepeatCtx(ctx context.Context, sc sim.Scenario, p sim.Params, rep int) *Future {
-	return r.SubmitCtx(ctx, sc, p.ForRepeat(rep))
-}
-
-// RunRepeat is SubmitRepeat followed by Wait.
-func (r *Runner) RunRepeat(sc sim.Scenario, p sim.Params, rep int) (*sim.Result, error) {
-	return r.SubmitRepeat(sc, p, rep).Wait()
-}
-
-// RunRepeatCtx is SubmitRepeatCtx followed by WaitCtx.
-func (r *Runner) RunRepeatCtx(ctx context.Context, sc sim.Scenario, p sim.Params, rep int) (*sim.Result, error) {
-	return r.SubmitRepeatCtx(ctx, sc, p, rep).WaitCtx(ctx)
 }
 
 // Stats reports collection outcomes: misses are cells whose result was
@@ -308,8 +269,8 @@ func (r *Runner) Completed() []string {
 
 // Close lets the workers drain the queue and exit, then waits for them.
 // Close is idempotent and safe to call concurrently with itself and with
-// Submit: Futures obtained before Close remain valid, and Submit after (or
-// racing) Close executes inline on the caller.
+// SubmitCtx: Futures obtained before Close remain valid, and SubmitCtx after
+// (or racing) Close executes inline on the caller.
 func (r *Runner) Close() {
 	r.mu.Lock()
 	r.closed = true

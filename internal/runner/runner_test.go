@@ -43,11 +43,11 @@ func TestRepeatAwareMemoization(t *testing.T) {
 	p := sim.DefaultParams()
 	// Repeat 0 shares the base cell; each further repeat is its own cell, and
 	// requesting a repeat twice memoizes like any other cell.
-	if _, err := r.Run(sc, p); err != nil {
+	if _, err := r.RunCtx(context.Background(), sc, p); err != nil {
 		t.Fatal(err)
 	}
 	for _, rep := range []int{0, 1, 2, 1, 2, 0} {
-		if _, err := r.RunRepeat(sc, p, rep); err != nil {
+		if _, err := r.RunCtx(context.Background(), sc, p.ForRepeat(rep)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,7 +75,7 @@ func TestMemoizationSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := r.Run(sc, p)
+			res, err := r.RunCtx(context.Background(), sc, p)
 			if err != nil {
 				t.Error(err)
 			}
@@ -118,17 +118,18 @@ func TestDistinctCellsSimulateSeparately(t *testing.T) {
 	mixed := nativeP1
 	mixed.ASAP.Guest = core.Config{P1: true, P2: true}
 
+	ctx := context.Background()
 	futures := []*Future{
-		r.Submit(mcf, p),
-		r.Submit(colo, p),     // different scenario
-		r.Submit(mcf, p2),     // same scenario, different params
-		r.Submit(mcf, p),      // duplicate of the first
-		r.Submit(colo, p),     // duplicate of the second
-		r.Submit(nativeP1, p), // distinct ASAP config
-		r.Submit(mixed, p),    // same String() as nativeP1, different config
+		r.SubmitCtx(ctx, mcf, p),
+		r.SubmitCtx(ctx, colo, p),     // different scenario
+		r.SubmitCtx(ctx, mcf, p2),     // same scenario, different params
+		r.SubmitCtx(ctx, mcf, p),      // duplicate of the first
+		r.SubmitCtx(ctx, colo, p),     // duplicate of the second
+		r.SubmitCtx(ctx, nativeP1, p), // distinct ASAP config
+		r.SubmitCtx(ctx, mixed, p),    // same String() as nativeP1, different config
 	}
 	for _, f := range futures {
-		if _, err := f.Wait(); err != nil {
+		if _, err := f.WaitCtx(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,12 +153,13 @@ func TestErrorSharedByAllRequesters(t *testing.T) {
 
 	sc := testScenario(t, "mcf")
 	p := sim.DefaultParams()
-	a := r.Submit(sc, p)
-	b := r.Submit(sc, p)
-	if _, err := a.Wait(); !errors.Is(err, boom) {
+	ctx := context.Background()
+	a := r.SubmitCtx(ctx, sc, p)
+	b := r.SubmitCtx(ctx, sc, p)
+	if _, err := a.WaitCtx(ctx); !errors.Is(err, boom) {
 		t.Fatalf("first requester got %v, want boom", err)
 	}
-	if _, err := b.Wait(); !errors.Is(err, boom) {
+	if _, err := b.WaitCtx(ctx); !errors.Is(err, boom) {
 		t.Fatalf("second requester got %v, want boom", err)
 	}
 }
@@ -168,7 +170,7 @@ func TestSubmitAfterCloseRunsInline(t *testing.T) {
 	r.simulate = countingSim(&sims)
 	r.Close()
 
-	res, err := r.Run(testScenario(t, "mcf"), sim.DefaultParams())
+	res, err := r.RunCtx(context.Background(), testScenario(t, "mcf"), sim.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +212,7 @@ func TestCancelledCellIsEvicted(t *testing.T) {
 		t.Fatalf("simulated %d times, want 2 (cancelled + retried)", got)
 	}
 	// The successful result is memoized again.
-	if _, err := r.Run(sc, p); err != nil {
+	if _, err := r.RunCtx(context.Background(), sc, p); err != nil {
 		t.Fatal(err)
 	}
 	if got := sims.Load(); got != 2 {
@@ -231,14 +233,14 @@ func TestWaitCtxDoesNotCancelSimulation(t *testing.T) {
 
 	sc := testScenario(t, "mcf")
 	p := sim.DefaultParams()
-	f := r.Submit(sc, p)
+	f := r.SubmitCtx(context.Background(), sc, p)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	if _, err := f.WaitCtx(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("bounded wait returned %v, want deadline exceeded", err)
 	}
 	close(release)
-	if res, err := f.Wait(); err != nil || res == nil {
+	if res, err := f.WaitCtx(context.Background()); err != nil || res == nil {
 		t.Fatalf("simulation should have survived the abandoned wait: res=%v err=%v", res, err)
 	}
 	r.Close()
@@ -251,7 +253,7 @@ func TestCloseIdempotent(t *testing.T) {
 	var sims atomic.Int64
 	r := New(2)
 	r.simulate = countingSim(&sims)
-	if _, err := r.Run(testScenario(t, "mcf"), sim.DefaultParams()); err != nil {
+	if _, err := r.RunCtx(context.Background(), testScenario(t, "mcf"), sim.DefaultParams()); err != nil {
 		t.Fatal(err)
 	}
 	r.Close()
@@ -289,7 +291,7 @@ func TestCloseRacesSubmit(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for rep := 0; rep < 8; rep++ {
-				futures <- r.SubmitRepeat(testScenario(t, names[i%len(names)]), p, rep)
+				futures <- r.SubmitCtx(context.Background(), testScenario(t, names[i%len(names)]), p.ForRepeat(rep))
 			}
 		}(i)
 	}
@@ -304,7 +306,7 @@ func TestCloseRacesSubmit(t *testing.T) {
 	wg.Wait()
 	close(futures)
 	for f := range futures {
-		if res, err := f.Wait(); err != nil || res == nil {
+		if res, err := f.WaitCtx(context.Background()); err != nil || res == nil {
 			t.Fatalf("future lost across Close: res=%v err=%v", res, err)
 		}
 	}
@@ -321,7 +323,7 @@ func TestCompletedReportsFinishedCells(t *testing.T) {
 	want := []string{}
 	for _, name := range []string{"mcf", "canneal"} {
 		sc := testScenario(t, name)
-		if _, err := r.Run(sc, p); err != nil {
+		if _, err := r.RunCtx(context.Background(), sc, p); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, sc.Name())
@@ -340,11 +342,11 @@ func TestCloseDrainsQueue(t *testing.T) {
 	p := sim.DefaultParams()
 	var futures []*Future
 	for _, name := range []string{"mcf", "canneal", "redis"} {
-		futures = append(futures, r.Submit(testScenario(t, name), p))
+		futures = append(futures, r.SubmitCtx(context.Background(), testScenario(t, name), p))
 	}
 	r.Close()
 	for _, f := range futures {
-		if _, err := f.Wait(); err != nil {
+		if _, err := f.WaitCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -46,7 +46,8 @@ type Params struct {
 	// WarmupWalks and MeasureWalks are the pre-measurement and measured
 	// page-walk counts per run; phases are walk-based so that workloads with
 	// very different TLB miss rates are measured with equal statistical
-	// weight and warm caches. MaxRefs bounds a run defensively.
+	// weight and warm caches. MaxRefs bounds a run defensively: a run that
+	// reaches it before MeasureWalks measured walks fails (see Run).
 	WarmupWalks  int
 	MeasureWalks int
 	MaxRefs      int

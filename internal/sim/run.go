@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/cache"
 	"repro/internal/mem"
@@ -120,7 +121,10 @@ func tapped(src refSource, tap RefTap, pid int, spec workload.Spec, layout *work
 // ctxCheckMask) and aborts with ctx.Err() when it is cancelled or its
 // deadline passes, so a stuck or oversized cell cannot hold a worker
 // hostage. A cancelled run returns no partial metrics — callers that want
-// partial grids handle cancellation per cell (see internal/asapd).
+// partial grids handle cancellation per cell (see internal/asapd). Nor does
+// a run that reaches p.MaxRefs references before its measured window
+// fills: it fails with an error naming the walks it measured. A replayed
+// trace that runs dry is a clean end, with whatever window it reached.
 //
 // tap, when non-nil, observes the reference stream (trace capture); tr, when
 // non-nil, records cycle-domain events of the translation machinery. Both are
@@ -257,7 +261,7 @@ func drive(ctx context.Context, sc Scenario, p Params, sch *schedule, h *cache.H
 	measure := newMeter(p)
 	var walksTotal, sliceRefs int
 	traffic := coTraffic{h: h, every: p.CoAccessCycles}
-	measuring := false
+	measuring, dry := false, false
 	schemeName := sc.SchemeName()
 	s, sched, cur := sch.scheme, sch.sched, sch.procs[0]
 	for refs := 0; refs < p.MaxRefs; refs++ {
@@ -298,7 +302,8 @@ func drive(ctx context.Context, sc Scenario, p Params, sch *schedule, h *cache.H
 		}
 		va, ok := cur.src.Next()
 		if !ok {
-			break // the replayed trace ran dry
+			dry = true // the replayed trace ran dry
+			break
 		}
 		refCycles := cur.spec.DataStallCycles + cur.spec.InstrPerRef*p.CPIBase
 		if s.Translate(now, va, &wr) {
@@ -324,10 +329,13 @@ func drive(ctx context.Context, sc Scenario, p Params, sch *schedule, h *cache.H
 			measure.access(&cur.spec)
 		}
 	}
+	if !dry && int(measure.walks) < p.MeasureWalks {
+		return fmt.Errorf("sim: reached MaxRefs (%d references) with %d of %d measured walks (scenario %s)",
+			p.MaxRefs, measure.walks, p.MeasureWalks, sc.Name())
+	}
 	if !measuring {
-		// The stream ended (a short trace, or MaxRefs) before warmup
-		// completed: report a clean empty window rather than folding warmup
-		// into the measurements.
+		// The replayed trace ran dry before warmup completed: report a clean
+		// empty window rather than folding warmup into the measurements.
 		measure.begin(s.Counters())
 		if tr != nil {
 			tr.MeasureBegin(now)

@@ -3,7 +3,9 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -505,16 +507,53 @@ func TestRunRejectsBadCoAccessCycles(t *testing.T) {
 	}
 }
 
-// countingTap counts the processes a run announces. Setups announce each
-// process while building it, so a run rejected up front announces none.
-type countingTap struct{ begun int }
+// countingTap counts the processes a run announces and the references it
+// consumes. Setups announce each process while building it, so a run
+// rejected up front announces none.
+type countingTap struct{ begun, refs int }
 
 func (c *countingTap) BeginProcess(int, workload.Spec, *workload.Layout, uint64) error {
 	c.begun++
 	return nil
 }
 
-func (c *countingTap) Ref(int, mem.VirtAddr) {}
+func (c *countingTap) Ref(int, mem.VirtAddr) { c.refs++ }
+
+// TestMaxRefsTruncationFails pins the end of a synthetic run: MaxRefs set to
+// exactly the references a full window consumes still succeeds, one fewer
+// fails naming the walks measured, and so does a MaxRefs that ends the run
+// inside warmup. No truncated window is reported as a result.
+func TestMaxRefsTruncationFails(t *testing.T) {
+	ctx := context.Background()
+	sc, p := Scenario{Workload: tinySpec()}, fastParams()
+	var tap countingTap
+	full, err := Run(ctx, sc, p, &tap, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.MaxRefs = tap.refs
+	res, err := Run(ctx, sc, p, nil, nil)
+	if err != nil {
+		t.Fatalf("MaxRefs = the %d references a full window takes: %v", tap.refs, err)
+	}
+	if *res != *full {
+		t.Fatalf("MaxRefs = %d changed the result", tap.refs)
+	}
+	for _, tc := range []struct {
+		maxRefs  int
+		measured int
+	}{
+		{tap.refs - 1, p.MeasureWalks - 1},
+		{1000, 0}, // ends inside warmup
+	} {
+		p.MaxRefs = tc.maxRefs
+		_, err := Run(ctx, sc, p, nil, nil)
+		want := fmt.Sprintf("%d of %d measured walks", tc.measured, p.MeasureWalks)
+		if err == nil || !strings.Contains(err.Error(), "MaxRefs") || !strings.Contains(err.Error(), want) {
+			t.Errorf("MaxRefs = %d: err = %v, want an error naming MaxRefs and %q", tc.maxRefs, err, want)
+		}
+	}
+}
 
 func builtAssemblies() int {
 	buildMu.Lock()
