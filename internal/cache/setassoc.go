@@ -2,6 +2,17 @@
 // simulated memory hierarchy (Table 5): a generic set-associative array with
 // true LRU, the three-level data cache hierarchy plus main memory, and the
 // MSHR file that makes ASAP prefetches best-effort.
+//
+// Which set scan runs where: on amd64 CPUs with AVX2, and an OS that saves
+// the YMM state, LookupInsert and Insert on two set shapes run a vector
+// kernel (scan_amd64.s). One takes 8 ways of 64-bit tags: the L1 and L2
+// caches, the 8-way L1 TLB and Victima's residency shadow. The other takes
+// 20 ways of 32-bit tags: the LLC. Every other shape (the 6-way L2 TLB, the
+// PWCs, Revelator's table), and every other CPU or platform, runs the scalar
+// scan. Each array picks its path once, when it is built, from its tag
+// width, its ways and a CPUID probe; no option selects it. Both paths leave
+// the same result and the same sets. Lookup, Contains and FlushMask are
+// scalar everywhere.
 package cache
 
 import (
@@ -33,6 +44,9 @@ type lruArray[T tag] struct {
 	shift uint
 	limit uint64 // the first key whose tag reaches the sentinel
 	tags  []T
+	// vec is set when this CPU has a vector LookupInsert kernel for the
+	// array's set shape; SetAssoc and llcArray call it.
+	vec bool
 }
 
 // init sets up an empty array with the given geometry. entries must be a
@@ -51,6 +65,7 @@ func (s *lruArray[T]) init(entries, ways int, dropIndex bool) {
 		nways:   ways,
 		setMask: uint64(sets - 1),
 		tags:    make([]T, entries),
+		vec:     hasKernel[T](ways),
 	}
 	if dropIndex {
 		s.shift = uint(bits.TrailingZeros(uint(sets)))
@@ -69,6 +84,31 @@ func (s *lruArray[T]) Ways() int { return s.nways }
 func (s *lruArray[T]) set(key uint64) []T {
 	base := int(key&s.setMask) * s.nways
 	return s.tags[base : base+s.nways]
+}
+
+// hasKernel reports whether sets of ways tags of type T have a vector
+// LookupInsert kernel on this CPU: 8 ways of 64-bit tags and 20 ways of
+// 32-bit tags do where it has AVX2.
+func hasKernel[T tag](ways int) bool {
+	switch any(T(0)).(type) {
+	case uint64:
+		return hasAVX2 && ways == 8
+	case uint32:
+		return hasAVX2 && ways == 20
+	}
+	return false
+}
+
+// setTag returns key's set and tag for an install, panicking as LookupInsert
+// does if the tag does not fit below the empty-way sentinel. LookupInsert
+// repeats these lines rather than calling it: the call would push it over
+// the compiler's inlining budget, and SetAssoc and llcArray rely on it being
+// inlined into their scalar path.
+func (s *lruArray[T]) setTag(key uint64) ([]T, T) {
+	if key >= s.limit {
+		panic("cache: key's tag collides with the invalid-tag sentinel")
+	}
+	return s.set(key), T(key >> (s.shift & 63))
 }
 
 // find returns the way holding t, or -1. The probe stops at the first empty
@@ -118,6 +158,10 @@ func (s *lruArray[T]) Contains(key uint64) bool {
 // tag of the way before it, and way 0 takes key's. It ends at key's old way
 // on a hit, at the first empty way on a miss that has one, and past the LRU
 // way (dropping it) on a miss in a full set.
+//
+// This is the scalar scan. SetAssoc and llcArray run a vector kernel
+// instead where the array has one (see the package doc), with the same
+// result and the same set afterwards.
 func (s *lruArray[T]) LookupInsert(key uint64) bool {
 	if key >= s.limit {
 		panic("cache: key's tag collides with the invalid-tag sentinel")
@@ -137,10 +181,6 @@ func (s *lruArray[T]) LookupInsert(key uint64) bool {
 	}
 	return false
 }
-
-// Insert installs key, evicting the LRU way of its set if needed. Inserting a
-// present key makes it the most recently used one.
-func (s *lruArray[T]) Insert(key uint64) { s.LookupInsert(key) }
 
 // Flush invalidates every entry.
 func (s *lruArray[T]) Flush() {
@@ -181,6 +221,21 @@ func (s *lruArray[T]) FlushMask(mask, match uint64) uint64 {
 // recency-ordered sets (see lruArray); any key but 2^64-1 fits.
 type SetAssoc struct{ lruArray[uint64] }
 
+// LookupInsert is lruArray.LookupInsert, through the 8-way vector kernel
+// where the array has one. A hit at way 0 changes nothing and returns before
+// the call, which walks that re-touch their most recent line often make.
+func (s *SetAssoc) LookupInsert(key uint64) bool {
+	if !s.vec {
+		return s.lruArray.LookupInsert(key)
+	}
+	set, t := s.setTag(key)
+	return set[0] == t || lookupInsert8x64(set, t)
+}
+
+// Insert installs key, evicting the LRU way of its set if needed. Inserting a
+// present key makes it the most recently used one.
+func (s *SetAssoc) Insert(key uint64) { s.LookupInsert(key) }
+
 // NewSetAssoc returns an array with the given geometry. entries must be a
 // positive multiple of ways, and entries/ways must be a power of two.
 func NewSetAssoc(entries, ways int) *SetAssoc {
@@ -194,7 +249,20 @@ func NewSetAssoc(entries, ways int) *SetAssoc {
 // which halves the footprint. A key fits while its tag stays below 2^32-1;
 // under the default 16384-set LLC that is every line below 2^46, and the
 // simulator's machine lines all lie below 2^42.
-type llcArray = lruArray[uint32]
+type llcArray struct{ lruArray[uint32] }
+
+// LookupInsert is lruArray.LookupInsert, through the 20-way vector kernel
+// where the array has one.
+func (s *llcArray) LookupInsert(key uint64) bool {
+	if !s.vec {
+		return s.lruArray.LookupInsert(key)
+	}
+	set, t := s.setTag(key)
+	return set[0] == t || lookupInsert20x32(set, t)
+}
+
+// Insert installs key, evicting the LRU way of its set if needed.
+func (s *llcArray) Insert(key uint64) { s.LookupInsert(key) }
 
 // newLLCArray returns an empty LLC tag array with the given geometry.
 func newLLCArray(entries, ways int) *llcArray {

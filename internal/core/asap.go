@@ -219,9 +219,14 @@ func (e *Engine) Targets(va mem.VirtAddr, buf []Target) []Target {
 	if d == nil {
 		return buf
 	}
-	for _, l := range e.cfg.Levels() {
-		if addr, ok := d.TargetAddr(l, va); ok {
-			buf = append(buf, Target{Level: l, Addr: addr})
+	// The levels are read in place, deepest first as Levels lists them:
+	// Levels allocates, and Targets runs on every accelerated walk.
+	for i, on := range [...]bool{e.cfg.P1, e.cfg.P2, e.cfg.P3} {
+		if !on {
+			continue
+		}
+		if addr, ok := d.TargetAddr(i+1, va); ok {
+			buf = append(buf, Target{Level: i + 1, Addr: addr})
 		}
 	}
 	return buf

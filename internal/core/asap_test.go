@@ -154,6 +154,22 @@ func TestEngineLookupAndTargets(t *testing.T) {
 	}
 }
 
+func TestTargetsDoesNotAllocate(t *testing.T) {
+	e := NewEngine(4, Config{P1: true, P2: true, P3: true})
+	d := &Descriptor{Start: mem.FromVPN(0), End: mem.FromVPN(10 * mem.NodeSpan)}
+	for l := 1; l <= 3; l++ {
+		d.Base[l], d.Has[l] = mem.PhysAddr(l)<<30, true
+	}
+	e.Install(d)
+	buf := make([]Target, 0, 3)
+	if n := testing.AllocsPerRun(100, func() { buf = e.Targets(mem.FromVPN(5), buf[:0]) }); n != 0 {
+		t.Fatalf("Targets allocated %v times per call, want 0", n)
+	}
+	if len(buf) != 3 || buf[0].Level != 1 || buf[1].Level != 2 || buf[2].Level != 3 {
+		t.Fatalf("targets = %v, want levels 1, 2, 3", buf)
+	}
+}
+
 func TestEngineDisabled(t *testing.T) {
 	e := NewEngine(1, Config{})
 	d := &Descriptor{Start: 0, End: mem.VirtAddr(mem.GiB)}

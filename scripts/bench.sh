@@ -17,8 +17,9 @@
 #   -o OLD      baseline `go test -bench` output to diff against (optional);
 #               produces per-benchmark speedups and a geomean in the JSON.
 #
-# Benchmarks come from two packages: the end-to-end experiment suite in the
-# module root and the per-structure ns/access micros in internal/cache.
+# Benchmarks come from four packages: the end-to-end experiment suite in the
+# module root, the per-structure ns/access micros in internal/cache, and the
+# walk-path TLB and PWC micros (ns/op) in internal/tlb and internal/pwc.
 #
 # The raw `go test -bench` output is kept next to the JSON as
 # BENCH_<NUM>.txt so a later PR can use it as its -o baseline.
@@ -45,7 +46,7 @@ fi
 raw="BENCH_${num}.txt"
 out="BENCH_${num}.json"
 
-pkgs=(. ./internal/cache)
+pkgs=(. ./internal/cache ./internal/tlb ./internal/pwc)
 echo "bench.sh: go test -run '^\$' -bench '$pattern' -benchtime $benchtime -count $count -benchmem ${pkgs[*]}" >&2
 go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -count "$count" -benchmem "${pkgs[@]}" | tee "$raw"
 
