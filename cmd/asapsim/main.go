@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/mmu"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -27,92 +26,32 @@ import (
 )
 
 func main() {
-	var (
-		name      = flag.String("workload", "mc80", "workload name ("+strings.Join(workload.Names(), ", ")+")")
-		scheme    = flag.String("scheme", "asap", "translation scheme ("+strings.Join(mmu.Names(), ", ")+")")
-		asapFlag  = flag.String("asap", "off", "native ASAP config: off, p1, p1+p2, p1+p2+p3 (-scheme asap only)")
-		guestFlag = flag.String("guest", "off", "guest ASAP config (with -virt)")
-		hostFlag  = flag.String("host", "off", "host ASAP config (with -virt)")
-		virtual   = flag.Bool("virt", false, "run under virtualization (2D nested walks)")
-		colocate  = flag.Bool("colocate", false, "add the synthetic SMT co-runner")
-		hugeHost  = flag.Bool("hugehost", false, "hypervisor backs guest RAM with 2MB pages")
-		clustered = flag.Bool("ctlb", false, "replace the STLB with a Clustered TLB")
-		fiveLevel = flag.Bool("5level", false, "use 5-level page tables (native)")
-		holes     = flag.Float64("holes", 0, "probability of a hole per ASAP-region PT node")
-		measure   = flag.Int("measure", 0, "measured page walks (0 = default)")
-		warmup    = flag.Int("warmup", 0, "warmup page walks (0 = default)")
-		seed      = flag.Uint64("seed", 0, "random seed (0 = default)")
-		breakdown = flag.Bool("breakdown", false, "print the Fig 9 per-level breakdown")
-		procs     = flag.Int("procs", 1, "co-scheduled processes time-sharing the core (native only)")
-		mix       = flag.String("mix", "", "comma-separated co-scheduled workloads (with -procs; empty = replicate -workload)")
-		quantum   = flag.Int("quantum", 0, "mean scheduler quantum in references (0 = default)")
-		timeout   = flag.Duration("timeout", 0, "abort the simulation after this duration (0 = none)")
-		flushSw   = flag.Bool("flushswitch", false, "flush TLBs/PWCs on context switch instead of ASID-tagged retention")
-	)
+	var cs sim.CellSpec
+	flag.StringVar(&cs.Workload, "workload", "mc80", "workload name ("+strings.Join(workload.Names(), ", ")+")")
+	flag.StringVar(&cs.Scheme, "scheme", "asap", "translation scheme ("+strings.Join(mmu.Names(), ", ")+")")
+	flag.StringVar(&cs.ASAP, "asap", "off", "native ASAP config: off, p1, p1+p2, p1+p2+p3 (-scheme asap only)")
+	flag.StringVar(&cs.Guest, "guest", "off", "guest ASAP config (with -virt)")
+	flag.StringVar(&cs.Host, "host", "off", "host ASAP config (with -virt)")
+	flag.BoolVar(&cs.Virtualized, "virt", false, "run under virtualization (2D nested walks)")
+	flag.BoolVar(&cs.Colocated, "colocate", false, "add the synthetic SMT co-runner")
+	flag.BoolVar(&cs.HostHugePages, "hugehost", false, "hypervisor backs guest RAM with 2MB pages")
+	flag.BoolVar(&cs.ClusteredTLB, "ctlb", false, "replace the STLB with a Clustered TLB")
+	flag.StringVar(&cs.Mix, "mix", "", "comma-separated co-scheduled workloads (with -procs; empty = replicate -workload)")
+	var ps sim.ParamSpec
+	flag.BoolVar(&ps.FiveLevel, "5level", false, "use 5-level page tables (native)")
+	flag.Float64Var(&ps.HoleProb, "holes", 0, "probability of a hole per ASAP-region PT node")
+	flag.IntVar(&ps.MeasureWalks, "measure", 0, "measured page walks (0 = default)")
+	flag.IntVar(&ps.WarmupWalks, "warmup", 0, "warmup page walks (0 = default)")
+	flag.Uint64Var(&ps.Seed, "seed", 0, "random seed (0 = default)")
+	flag.IntVar(&ps.Processes, "procs", 1, "co-scheduled processes time-sharing the core (native only)")
+	flag.IntVar(&ps.QuantumRefs, "quantum", 0, "mean scheduler quantum in references (0 = default)")
+	flag.BoolVar(&ps.FlushOnSwitch, "flushswitch", false, "flush TLBs/PWCs on context switch instead of ASID-tagged retention")
+	breakdown := flag.Bool("breakdown", false, "print the Fig 9 per-level breakdown")
+	timeout := flag.Duration("timeout", 0, "abort the simulation after this duration (0 = none)")
 	flag.Parse()
 
-	spec, ok := workload.ByName(*name)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown workload %q; have %s\n", *name, strings.Join(workload.Names(), ", "))
-		os.Exit(2)
-	}
-	if err := mmu.Validate(*scheme); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	// The native ASAP config parses in scheme context: prefetch levels are the
-	// asap scheme's mechanism, so -scheme victima -asap p1+p2 is rejected, not
-	// silently ignored. Every other contradictory combination is rejected by
-	// sim.Validate below.
-	native, err := mmu.ParseASAP(*scheme, *asapFlag)
+	sc, p, err := sim.Parse(cs, ps)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	guest, host := parseASAP(*guestFlag), parseASAP(*hostFlag)
-	// A lone process ignores QuantumRefs (which always carries a default) and
-	// FlushOnSwitch, so sim.Validate accepts both; only the command line can
-	// tell that the user asked for them.
-	if *procs <= 1 && (*flushSw || *quantum > 0) {
-		fmt.Fprintln(os.Stderr, "-flushswitch and -quantum require -procs > 1")
-		os.Exit(2)
-	}
-	p := sim.DefaultParams()
-	p.FiveLevel = *fiveLevel
-	p.HoleProb = *holes
-	if *measure > 0 {
-		p.MeasureWalks = *measure
-	}
-	if *warmup > 0 {
-		p.WarmupWalks = *warmup
-	}
-	if *seed != 0 {
-		p.Seed = *seed
-	}
-	p.Processes = *procs
-	p.FlushOnSwitch = *flushSw
-	if *quantum > 0 {
-		p.QuantumRefs = *quantum
-	}
-	sc := sim.Scenario{
-		Workload:      spec,
-		Virtualized:   *virtual,
-		Colocated:     *colocate,
-		HostHugePages: *hugeHost,
-		ClusteredTLB:  *clustered,
-		Mix:           *mix,
-		ASAP: sim.ASAPConfig{
-			Native: native,
-			Guest:  guest,
-			Host:   host,
-		},
-	}
-	if mmu.Canonical(*scheme) != "asap" {
-		// The default asap selection keeps the zero Scenario value, so names
-		// and memo keys match the pre-scheme harness exactly.
-		sc.Scheme = mmu.Canonical(*scheme)
-	}
-	if err := sim.Validate(sc, p); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -162,15 +101,6 @@ func main() {
 		fmt.Println()
 		fmt.Print(breakdownTable(res))
 	}
-}
-
-func parseASAP(s string) core.Config {
-	c, err := core.ParseConfig(s)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	return c
 }
 
 func breakdownTable(res *sim.Result) string {

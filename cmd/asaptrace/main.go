@@ -30,7 +30,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -74,66 +73,55 @@ func usage() {
 `)
 }
 
-// fastParams shrinks the measurement protocol for smoke runs, mirroring the
-// examples' -fast convention. Record keeps extra measured headroom so a -fast
-// capture still covers a -fast replay's full window.
-func fastParams(p *sim.Params, record bool) {
-	p.WarmupWalks = 1000
-	p.MeasureWalks = 1000
-	if record {
-		p.MeasureWalks = 1800
+// smokeProtocol fills the walk counts the user left at zero with -fast's
+// smoke protocol, which is shorter than sim.FastParams so a -fast capture
+// stays small. Record keeps extra measured headroom so a -fast capture still
+// covers a -fast replay's full window.
+func smokeProtocol(ps *sim.ParamSpec, record bool) {
+	if ps.WarmupWalks == 0 {
+		ps.WarmupWalks = 1000
+	}
+	if ps.MeasureWalks == 0 {
+		ps.MeasureWalks = 1000
+		if record {
+			ps.MeasureWalks = 1800
+		}
 	}
 }
 
 func record(args []string) error {
 	fs := flag.NewFlagSet("asaptrace record", flag.ExitOnError)
+	var cs sim.CellSpec
+	var ps sim.ParamSpec
+	fs.StringVar(&cs.Workload, "workload", "mc80", "workload name ("+strings.Join(workload.Names(), ", ")+")")
+	fs.StringVar(&cs.Mix, "mix", "", "comma-separated co-scheduled workloads (with -procs)")
+	fs.IntVar(&ps.WarmupWalks, "warmup", 0, "warmup page walks (0 = default)")
+	fs.IntVar(&ps.MeasureWalks, "measure", 0, "measured page walks (0 = default)")
+	fs.Uint64Var(&ps.Seed, "seed", 0, "random seed (0 = default)")
+	fs.IntVar(&ps.Processes, "procs", 1, "co-scheduled processes (one trace per process)")
+	fs.IntVar(&ps.QuantumRefs, "quantum", 0, "mean scheduler quantum in references (0 = default)")
 	var (
-		name    = fs.String("workload", "mc80", "workload name ("+strings.Join(workload.Names(), ", ")+")")
-		out     = fs.String("o", "", "output trace file (required; .gz implies -gzip)")
-		gz      = fs.Bool("gzip", false, "gzip-compress the trace body")
-		warmup  = fs.Int("warmup", 0, "warmup page walks (0 = default)")
-		measure = fs.Int("measure", 0, "measured page walks (0 = default)")
-		seed    = fs.Uint64("seed", 0, "random seed (0 = default)")
-		procs   = fs.Int("procs", 1, "co-scheduled processes (one trace per process)")
-		mix     = fs.String("mix", "", "comma-separated co-scheduled workloads (with -procs)")
-		quantum = fs.Int("quantum", 0, "mean scheduler quantum in references (0 = default)")
-		fast    = fs.Bool("fast", false, "reduced measurement protocol")
+		out  = fs.String("o", "", "output trace file (required; .gz implies -gzip)")
+		gz   = fs.Bool("gzip", false, "gzip-compress the trace body")
+		fast = fs.Bool("fast", false, "reduced measurement protocol")
 	)
 	fs.Parse(args)
 	if *out == "" {
 		return fmt.Errorf("record needs -o FILE")
 	}
-	if *procs <= 1 && *quantum > 0 {
-		return fmt.Errorf("-quantum requires -procs > 1") // sim.Run rejects -mix without it
-	}
-	spec, ok := workload.ByName(*name)
-	if !ok {
-		return fmt.Errorf("unknown workload %q; have %s", *name, strings.Join(workload.Names(), ", "))
-	}
-	p := sim.DefaultParams()
 	if *fast {
-		fastParams(&p, true)
+		smokeProtocol(&ps, true)
 	}
-	if *warmup > 0 {
-		p.WarmupWalks = *warmup
-	}
-	if *measure > 0 {
-		p.MeasureWalks = *measure
-	}
-	if *seed != 0 {
-		p.Seed = *seed
-	}
-	p.Processes = *procs
-	if *quantum > 0 {
-		p.QuantumRefs = *quantum
+	sc, p, err := sim.Parse(cs, ps)
+	if err != nil {
+		return err
 	}
 	compress := *gz || strings.HasSuffix(*out, ".gz")
-	sc := sim.Scenario{Workload: spec, Mix: *mix}
 
 	paths := map[int]string{}
 	rec := trace.NewRecorder(func(pid int) (io.WriteCloser, error) {
 		path := *out
-		if *procs > 1 {
+		if p.Processes > 1 {
 			ext := filepath.Ext(path)
 			base := strings.TrimSuffix(path, ext)
 			if ext == ".gz" { // keep compound extensions like .trc.gz together
@@ -204,17 +192,19 @@ func info(args []string) error {
 
 func replay(args []string) error {
 	fs := flag.NewFlagSet("asaptrace replay", flag.ExitOnError)
+	var cs sim.CellSpec
+	var ps sim.ParamSpec
+	fs.StringVar(&cs.ASAP, "asap", "off", "native ASAP config: off, p1, p1+p2, p1+p2+p3")
+	fs.BoolVar(&cs.Colocated, "colocate", false, "add the synthetic SMT co-runner")
+	fs.BoolVar(&cs.ClusteredTLB, "ctlb", false, "replace the STLB with a Clustered TLB")
+	fs.Float64Var(&ps.HoleProb, "holes", 0, "probability of a hole per ASAP-region PT node")
+	fs.IntVar(&ps.WarmupWalks, "warmup", 0, "warmup page walks (0 = default)")
+	fs.IntVar(&ps.MeasureWalks, "measure", 0, "measured page walks (0 = default)")
 	var (
-		asapFlag  = fs.String("asap", "off", "native ASAP config: off, p1, p1+p2, p1+p2+p3")
-		colocate  = fs.Bool("colocate", false, "add the synthetic SMT co-runner")
-		clustered = fs.Bool("ctlb", false, "replace the STLB with a Clustered TLB")
-		holes     = fs.Float64("holes", 0, "probability of a hole per ASAP-region PT node")
-		warmup    = fs.Int("warmup", 0, "warmup page walks (0 = default)")
-		measure   = fs.Int("measure", 0, "measured page walks (0 = default)")
-		fast      = fs.Bool("fast", false, "reduced measurement protocol")
-		events    = fs.String("events", "", "write a Chrome trace_event JSON of the run (load at ui.perfetto.dev)")
-		sample    = fs.Int("sample", 1, "with -events, trace every Nth walk (and TLB hit)")
-		promOut   = fs.String("prom", "", "with -events, write the run's metrics in Prometheus text format")
+		fast    = fs.Bool("fast", false, "reduced measurement protocol")
+		events  = fs.String("events", "", "write a Chrome trace_event JSON of the run (load at ui.perfetto.dev)")
+		sample  = fs.Int("sample", 1, "with -events, trace every Nth walk (and TLB hit)")
+		promOut = fs.String("prom", "", "with -events, write the run's metrics in Prometheus text format")
 	)
 	fs.Parse(args)
 	if fs.NArg() != 1 {
@@ -223,29 +213,18 @@ func replay(args []string) error {
 	if *events == "" && *promOut != "" {
 		return fmt.Errorf("-prom requires -events")
 	}
-	cfg, err := core.ParseConfig(*asapFlag)
-	if err != nil {
-		return err
-	}
-	tr, err := trace.LoadFile(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	p := sim.DefaultParams()
 	if *fast {
-		fastParams(&p, false)
+		smokeProtocol(&ps, false)
 	}
-	if *warmup > 0 {
-		p.WarmupWalks = *warmup
+	cs.Trace = fs.Arg(0)
+	sc, p, err := sim.Parse(cs, ps)
+	if err != nil {
+		return err
 	}
-	if *measure > 0 {
-		p.MeasureWalks = *measure
+	tr, err := sim.RegisteredTrace(sc.Trace)
+	if err != nil {
+		return err
 	}
-	p.HoleProb = *holes
-	sc := sim.UseTrace(tr)
-	sc.ASAP = sim.ASAPConfig{Native: cfg}
-	sc.Colocated = *colocate
-	sc.ClusteredTLB = *clustered
 	var tracer *obs.Tracer
 	var reg *obs.Registry
 	if *events != "" {

@@ -5,9 +5,11 @@
 // The hardening contracts, each proven by a test in this package or its
 // subpackages:
 //
-//   - Backpressure: the job queue is bounded (queue.Queue); a full queue is
-//     HTTP 429 + Retry-After, never an unbounded in-memory backlog. The
-//     Client helper retries with jittered exponential backoff.
+//   - Validation: Submit decodes every cell with sim.Parse, the decoder
+//     cmd/asapsim uses, and rejects a bad spec whole (HTTP 400).
+//   - Backpressure: the job queue is a bounded channel and a job's planned
+//     cells are capped; a full queue is HTTP 429 + Retry-After, never an
+//     unbounded in-memory backlog.
 //   - Timeouts: a job's TimeoutMS bounds the whole grid through context
 //     plumbing that reaches sim's reference loop; on expiry the job reports
 //     every completed cell plus structured per-cell errors for the rest.
@@ -33,7 +35,6 @@ import (
 	"time"
 
 	"repro/internal/asapd/faultfs"
-	"repro/internal/asapd/queue"
 	"repro/internal/asapd/store"
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -73,18 +74,20 @@ type Config struct {
 	FS faultfs.FS
 	// Clock overrides wall-clock time; nil is the system clock.
 	Clock Clock
-	// ForeignRetries bounds re-submissions of a cell whose in-flight
-	// simulation was cancelled by another job's deadline (< 0: 0; 0 picks
-	// the default of 2).
-	ForeignRetries int
 }
+
+// foreignRetries bounds re-submissions of a cell whose in-flight simulation
+// was cancelled by another job's deadline.
+const foreignRetries = 2
 
 // Service executes jobs from a bounded queue against a shared runner and
 // persistent store. Create with New, stop with Shutdown.
 type Service struct {
-	cfg    Config
-	clock  Clock
-	q      *queue.Queue[*Job]
+	clock Clock
+	// queue holds jobs waiting for a job worker; its capacity is
+	// Config.QueueCap, and a full queue is ErrBusy. Submit sends and
+	// Shutdown closes it, both under mu, so no send meets a closed channel.
+	queue  chan *Job
 	runner *runner.Runner
 	store  *store.Store // nil when StoreDir is empty
 
@@ -92,15 +95,7 @@ type Service struct {
 	rootCancel context.CancelFunc
 	wg         sync.WaitGroup // job workers
 
-	mu sync.Mutex
-	// queued mirrors the queue's occupancy under s.mu: incremented before a
-	// successful TryPush, decremented by the popping worker in the same
-	// critical section that marks the job in flight. The queue's own Len()
-	// would be read under a different lock at a different instant — during a
-	// pop, a snapshot could count one job both queued and in flight, showing
-	// depth + in-flight above capacity. The mirrored counter makes the
-	// queued -> in-flight transition atomic with respect to MetricsSnapshot.
-	queued    int
+	mu        sync.Mutex
 	jobs      map[string]*Job
 	order     []string // job IDs in submission order
 	nextID    uint64
@@ -120,13 +115,9 @@ func New(cfg Config) (*Service, error) {
 	if cfg.JobWorkers <= 0 {
 		cfg.JobWorkers = 2
 	}
-	if cfg.ForeignRetries == 0 {
-		cfg.ForeignRetries = 2
-	}
 	s := &Service{
-		cfg:   cfg,
 		clock: cfg.Clock,
-		q:     queue.New[*Job](cfg.QueueCap),
+		queue: make(chan *Job, cfg.QueueCap),
 		jobs:  map[string]*Job{},
 	}
 	if s.clock == nil {
@@ -158,43 +149,21 @@ func (s *Service) Submit(spec JobSpec) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
+	now := s.clock.Now()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.draining {
-		s.mu.Unlock()
 		return nil, ErrDraining
 	}
-	// Reserve queue capacity under s.mu. queued never undercounts the queue's
-	// real occupancy (it is incremented before the push and decremented after
-	// the pop), so a reservation that fits here guarantees TryPush below
-	// cannot find the queue full.
-	if s.queued >= s.q.Cap() {
-		s.mu.Unlock()
+	j := newJob(fmt.Sprintf("job-%d", s.nextID+1), spec, plan, now)
+	select {
+	case s.queue <- j:
+	default:
 		return nil, ErrBusy
 	}
-	s.queued++
 	s.nextID++
-	id := fmt.Sprintf("job-%d", s.nextID)
-	s.mu.Unlock()
-	j := newJob(id, spec, plan, s.clock.Now())
-
-	// Push before registering: a refused push leaves no trace, and a worker
-	// that pops instantly works on the shared *Job regardless of the map.
-	if err := s.q.TryPush(j); err != nil {
-		s.mu.Lock()
-		s.queued--
-		s.mu.Unlock()
-		switch {
-		case errors.Is(err, queue.ErrFull):
-			return nil, ErrBusy
-		case errors.Is(err, queue.ErrClosed):
-			return nil, ErrDraining
-		}
-		return nil, err
-	}
-	s.mu.Lock()
-	s.jobs[id] = j
-	s.order = append(s.order, id)
-	s.mu.Unlock()
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
 	return j, nil
 }
 
@@ -220,14 +189,15 @@ func (s *Service) Jobs() []*Job {
 func (s *Service) jobWorker() {
 	defer s.wg.Done()
 	for {
-		j, ok := s.q.Pop(s.rootCtx)
-		if !ok {
+		var j *Job
+		select {
+		case j = <-s.queue:
+		case <-s.rootCtx.Done():
+		}
+		if j == nil { // closed and drained, or cancelled
 			return
 		}
-		// One critical section moves the job from queued to in flight, so a
-		// metrics snapshot sees it in exactly one of the two counters.
 		s.mu.Lock()
-		s.queued--
 		s.inFlight++
 		s.mu.Unlock()
 		s.runJob(j)
@@ -290,7 +260,7 @@ func (s *Service) collect(ctx context.Context, f *runner.Future, pc plannedCell)
 		}
 		foreign := (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) &&
 			ctx.Err() == nil
-		if !foreign || attempt >= s.cfg.ForeignRetries {
+		if !foreign || attempt >= foreignRetries {
 			if ctx.Err() != nil {
 				return nil, fmt.Errorf("cell aborted: %w", ctx.Err())
 			}
@@ -351,9 +321,8 @@ func (s *Service) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	s.draining = true
+	close(s.queue) // workers drain the queued jobs, then stop
 	s.mu.Unlock()
-
-	s.q.Close() // workers drain queued jobs, then their Pop returns false
 
 	workersDone := make(chan struct{})
 	go func() {
@@ -373,8 +342,8 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// Metrics is the /metrics document. QueueDepth and JobsInFlight come from one
-// snapshot lock, so QueueDepth + JobsInFlight never exceeds QueueCap +
+// Metrics is the /metrics document. A job leaves the queue before it counts
+// as in flight, so QueueDepth + JobsInFlight never exceeds QueueCap +
 // JobWorkers (a job is never counted in both).
 type Metrics struct {
 	QueueDepth   int     `json:"queue_depth"`
@@ -403,17 +372,14 @@ type Metrics struct {
 	StoreHitRate float64      `json:"store_hit_rate,omitempty"`
 }
 
-// MetricsSnapshot gathers the service's counters. Queue depth and job
-// in-flight are the mirrored counters read under the one s.mu section that
-// the worker's queued->in-flight transition also holds, so the pair is
-// consistent at any instant.
+// MetricsSnapshot gathers the service's counters.
 func (s *Service) MetricsSnapshot() Metrics {
 	hits, misses := s.runner.Stats()
 	prog := s.runner.Progress()
 	s.mu.Lock()
 	m := Metrics{
-		QueueDepth:           s.queued,
-		QueueCap:             s.q.Cap(),
+		QueueDepth:           len(s.queue),
+		QueueCap:             cap(s.queue),
 		JobsInFlight:         s.inFlight,
 		CellsDone:            s.cellsDone,
 		Draining:             s.draining,

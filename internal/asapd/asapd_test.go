@@ -1,27 +1,34 @@
 package asapd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/asapd/faultfs"
 	"repro/internal/asapd/leakcheck"
+	"repro/internal/asapd/store"
+	"repro/internal/report"
+	"repro/internal/sim"
 )
 
 // fastSpec is a small two-cell grid that simulates in milliseconds.
 func fastSpec() JobSpec {
 	return JobSpec{
-		Cells: []CellSpec{
+		Cells: []sim.CellSpec{
 			{Workload: "mcf"},
 			{Workload: "mcf", Colocated: true},
 		},
-		Params: ParamSpec{WarmupWalks: 300, MeasureWalks: 200},
+		Params: sim.ParamSpec{WarmupWalks: 300, MeasureWalks: 200},
 	}
 }
 
@@ -30,9 +37,90 @@ func fastSpec() JobSpec {
 // thousand references).
 func hugeSpec() JobSpec {
 	return JobSpec{
-		Cells:  []CellSpec{{Workload: "mcf"}},
-		Params: ParamSpec{WarmupWalks: 1 << 30, MeasureWalks: 1 << 30},
+		Cells:  []sim.CellSpec{{Workload: "mcf"}},
+		Params: sim.ParamSpec{WarmupWalks: 1 << 30, MeasureWalks: 1 << 30},
 	}
+}
+
+// The job specs README's Service section and scripts/asapd_smoke.sh submit.
+const (
+	readmeSpec = `{
+  "cells": [{"workload": "mcf"}, {"workload": "mcf", "colocated": true}],
+  "params": {"fast": true}, "repeats": 2, "timeout_ms": 600000
+}`
+	smokeSpec = `{"cells":[{"workload":"mcf"},{"workload":"mcf","colocated":true}],"params":{"fast":true},"repeats":2}`
+)
+
+// rejectedSpecs are job bodies Submit must refuse with a 400. want, when
+// set, must appear in the error.
+var rejectedSpecs = []struct{ name, body, want string }{
+	{"empty grid", `{"cells": []}`, ""},
+	{"unknown workload", `{"cells": [{"workload": "no-such"}]}`, ""},
+	{"unknown field", `{"cellz": [{"workload": "mcf"}]}`, ""},
+	{"bad asap config", `{"cells": [{"workload": "mcf", "asap": "p9"}]}`, ""},
+	{"bad scheme", `{"cells": [{"workload": "mcf", "scheme": "no-such"}]}`, ""},
+	{"missing trace", `{"cells": [{"trace": "/no/such/file.trace"}]}`, ""},
+	{"guest sans virt", `{"cells": [{"workload": "mcf", "guest": "p1"}]}`, ""},
+	{"virt plus native", `{"cells": [{"workload": "mcf", "virtualized": true, "asap": "p1"}]}`, ""},
+	{"virt plus procs", `{"cells": [{"workload": "mcf", "virtualized": true}], "params": {"processes": 2}}`, ""},
+	{"mix sans procs", `{"cells": [{"workload": "mcf", "mix": "mcf,canneal"}]}`, ""},
+	{"hole prob > 1", `{"cells": [{"workload": "mcf"}], "params": {"hole_prob": 1.5}}`, ""},
+	{"not json", `{]`, ""},
+	{"flush with one process", `{"cells": [{"workload": "mcf"}], "params": {"flush_on_switch": true}}`, "Processes > 1"},
+	{"quantum with one process", `{"cells": [{"workload": "mcf"}], "params": {"quantum_refs": 7}}`, "Processes > 1"},
+	{"negative hole prob", `{"cells": [{"workload": "mcf"}], "params": {"hole_prob": -0.5}}`, "HoleProb"},
+	{"negative warmup", `{"cells": [{"workload": "mcf"}], "params": {"warmup_walks": -1}}`, "WarmupWalks"},
+	{"negative processes", `{"cells": [{"workload": "mcf"}], "params": {"processes": -2}}`, "Processes"},
+	{"negative range registers", `{"cells": [{"workload": "mcf"}], "params": {"range_registers": -4}}`, "RangeRegisters"},
+	{"oversized job", `{"cells":[{"workload":"mcf"}],"params":{"fast":true},"repeats":200000}`, strconv.Itoa(maxJobCells)},
+}
+
+// postJob submits spec over HTTP and returns the accepted job's status.
+func postJob(t *testing.T, base string, spec JobSpec) JobStatus {
+	t.Helper()
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d, want 202", resp.StatusCode)
+	}
+	var st JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// getJSON decodes the 200 response to GET url into out.
+func getJSON(t *testing.T, url string, out any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d, want 200", url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// waitJob blocks until the job with the given ID is done.
+func waitJob(t *testing.T, s *Service, id string) {
+	t.Helper()
+	j, ok := s.Job(id)
+	if !ok {
+		t.Fatalf("job %s not registered", id)
+	}
+	<-j.Done()
 }
 
 func newService(t *testing.T, cfg Config) *Service {
@@ -51,8 +139,8 @@ func shutdown(t *testing.T, s *Service, timeout time.Duration) error {
 	return s.Shutdown(ctx)
 }
 
-// TestSubmitPollComplete is the happy path over real HTTP: submit a grid
-// with the client, poll to completion, check every cell carries a record.
+// TestSubmitPollComplete is the happy path over real HTTP: submit a grid,
+// wait for it, and check every cell carries a record.
 func TestSubmitPollComplete(t *testing.T) {
 	defer leakcheck.Check(t)()
 	s := newService(t, Config{Workers: 2, JobWorkers: 1})
@@ -64,19 +152,17 @@ func TestSubmitPollComplete(t *testing.T) {
 		}
 	}()
 
-	c := &Client{Base: srv.URL, Seed: 1}
 	spec := fastSpec()
 	spec.Repeats = 2
-	st, err := c.SubmitJob(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := postJob(t, srv.URL, spec)
 	if st.State != StateQueued && st.State != StateRunning && st.State != StateDone {
 		t.Fatalf("initial state %q", st.State)
 	}
-	final, err := c.WaitJob(context.Background(), st.ID, 20*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
+	waitJob(t, s, st.ID)
+	var final JobStatus
+	getJSON(t, srv.URL+"/v1/jobs/"+st.ID, &final)
+	if final.State != StateDone {
+		t.Fatalf("final state %q", final.State)
 	}
 	if final.Error != "" {
 		t.Fatalf("job error: %s", final.Error)
@@ -96,10 +182,8 @@ func TestSubmitPollComplete(t *testing.T) {
 		}
 	}
 
-	m, err := c.Metrics(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	var m Metrics
+	getJSON(t, srv.URL+"/metrics", &m)
 	if m.CellsDone != 4 || m.QueueCap != 16 {
 		t.Fatalf("metrics = %+v", m)
 	}
@@ -343,29 +427,41 @@ func TestSubmitValidation(t *testing.T) {
 		}
 	}()
 
-	for name, body := range map[string]string{
-		"empty grid":       `{"cells": []}`,
-		"unknown workload": `{"cells": [{"workload": "no-such"}]}`,
-		"unknown field":    `{"cellz": [{"workload": "mcf"}]}`,
-		"bad asap config":  `{"cells": [{"workload": "mcf", "asap": "p9"}]}`,
-		"bad scheme":       `{"cells": [{"workload": "mcf", "scheme": "no-such"}]}`,
-		"missing trace":    `{"cells": [{"trace": "/no/such/file.trace"}]}`,
-		"guest sans virt":  `{"cells": [{"workload": "mcf", "guest": "p1"}]}`,
-		"virt plus native": `{"cells": [{"workload": "mcf", "virtualized": true, "asap": "p1"}]}`,
-		"virt plus procs":  `{"cells": [{"workload": "mcf", "virtualized": true}], "params": {"processes": 2}}`,
-		"mix sans procs":   `{"cells": [{"workload": "mcf", "mix": "mcf,canneal"}]}`,
-		"hole prob > 1":    `{"cells": [{"workload": "mcf"}], "params": {"hole_prob": 1.5}}`,
-		"not json":         `{]`,
-	} {
+	// post returns the status and the error message of a submission.
+	post := func(body string) (int, string) {
+		t.Helper()
 		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		defer resp.Body.Close()
+		var e struct{ Error string }
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, e.Error
+	}
+	for _, tc := range rejectedSpecs {
+		code, msg := post(tc.body)
+		if code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", tc.name, code)
+		}
+		if !strings.Contains(msg, tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, msg, tc.want)
 		}
 	}
+
+	// A trace cell naming a file that is not a trace: the error names the
+	// path once and quotes none of the file's bytes back to the client.
+	path := filepath.Join(t.TempDir(), "secret.txt")
+	if err := os.WriteFile(path, []byte("hunter2-password\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	code, msg := post(`{"cells": [{"trace": "` + path + `"}]}`)
+	if code != http.StatusBadRequest || strings.Contains(msg, "hunter") || strings.Count(msg, path) != 1 {
+		t.Errorf("non-trace file: status %d, error %q", code, msg)
+	}
+
 	if resp, err := http.Get(srv.URL + "/v1/jobs/job-999"); err != nil {
 		t.Fatal(err)
 	} else {
@@ -376,106 +472,51 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestClientBackoff drives the client against a scripted server: two 429s
-// with Retry-After, then success. The injected sleep recorder proves the
-// jittered exponential schedule and the Retry-After floor; the plumbed seed
-// makes the jitter reproducible.
-func TestClientBackoff(t *testing.T) {
-	defer leakcheck.Check(t)()
-	var calls int
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls++
-		if calls <= 2 {
-			w.Header().Set("Retry-After", "1")
-			w.WriteHeader(http.StatusTooManyRequests)
-			return
+// TestStoreKeysPinned pins the store keys and params digests that job specs
+// decode to, so a change to decoding cannot orphan existing stores. The
+// specs are README's and the smoke script's, plus cells on the scheme,
+// virtualization and multi-process axes.
+func TestStoreKeysPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name, body string
+		keys       []string // store.KeyDigest per planned cell, in plan order
+		params     string   // report.Digest of the job's base parameters
+	}{
+		{"readme", readmeSpec,
+			[]string{"2e2be5dbf9b68dcc", "d0acd54e6dd1a19c", "3ec73d581dcdee2d", "62fc6b0f8a7ca487"},
+			"c2df01fc27eaaf14"},
+		{"smoke", smokeSpec,
+			[]string{"2e2be5dbf9b68dcc", "d0acd54e6dd1a19c", "3ec73d581dcdee2d", "62fc6b0f8a7ca487"},
+			"c2df01fc27eaaf14"},
+		{"axes", `{"cells": [{"workload": "mc80", "asap": "p1+p2", "colocated": true},
+			{"workload": "redis", "virtualized": true, "guest": "p1+p2", "host": "p1+p2"},
+			{"workload": "mc80", "scheme": "revelator"}],
+			"params": {"warmup_walks": 3000, "measure_walks": 2000, "hole_prob": 0.25, "range_registers": 8}}`,
+			[]string{"c05bbe1e376a1bc2", "44d933e8ad3b9ebc", "3691e3b13bf735a2"},
+			"31f671cd081ecaba"},
+		{"multi-process", `{"cells": [{"workload": "mcf", "mix": "mcf,canneal"}],
+			"params": {"processes": 4, "quantum_refs": 500, "flush_on_switch": true, "seed": 7}}`,
+			[]string{"3a357c7b9c32b31b"},
+			"918cc6c18efd0954"},
+	} {
+		spec, err := decodeJobSpec(strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write([]byte(`{"id": "job-1", "state": "queued", "submitted": "2020-01-01T00:00:00Z", "cells": []}`))
-	}))
-	defer srv.Close()
-
-	var slept []time.Duration
-	c := &Client{
-		Base:        srv.URL,
-		Seed:        42,
-		BaseDelay:   100 * time.Millisecond,
-		MaxDelay:    time.Second,
-		MaxAttempts: 5,
-		Sleep: func(_ context.Context, d time.Duration) error {
-			slept = append(slept, d)
-			return nil
-		},
-	}
-	st, err := c.JobStatus(context.Background(), "job-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.ID != "job-1" || calls != 3 {
-		t.Fatalf("status %+v after %d calls", st, calls)
-	}
-	if len(slept) != 2 {
-		t.Fatalf("slept %v, want 2 backoffs", slept)
-	}
-	for i, d := range slept {
-		if d < time.Second {
-			t.Errorf("backoff %d = %v, below the Retry-After floor", i, d)
+		plan, err := spec.plan()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if d > 2*time.Second {
-			t.Errorf("backoff %d = %v, above MaxDelay + floor headroom", i, d)
+		if len(plan) != len(tc.keys) {
+			t.Fatalf("%s: %d planned cells, want %d", tc.name, len(plan), len(tc.keys))
 		}
-	}
-
-	// Exhausted attempts surface the last backpressure error.
-	calls, slept = 0, nil
-	always := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}))
-	defer always.Close()
-	c.Base = always.URL
-	c.MaxAttempts = 3
-	if _, err := c.JobStatus(context.Background(), "job-1"); err == nil ||
-		!strings.Contains(err.Error(), "giving up after 3 attempts") {
-		t.Fatalf("exhausted retries = %v", err)
-	}
-}
-
-// TestClientJitterDeterministic: equal seeds give equal schedules, distinct
-// seeds (generally) don't — the jitter is real but reproducible.
-func TestClientJitterDeterministic(t *testing.T) {
-	schedule := func(seed uint64) []time.Duration {
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-			w.WriteHeader(http.StatusTooManyRequests)
-		}))
-		defer srv.Close()
-		var slept []time.Duration
-		c := &Client{
-			Base: srv.URL, Seed: seed, MaxAttempts: 4,
-			BaseDelay: 50 * time.Millisecond, MaxDelay: time.Second,
-			Sleep: func(_ context.Context, d time.Duration) error {
-				slept = append(slept, d)
-				return nil
-			},
+		for i, pc := range plan {
+			if got := store.KeyDigest(pc.key()); got != tc.keys[i] {
+				t.Errorf("%s: cell %d (%s repeat %d) store key %s, want %s", tc.name, i, pc.sc.Name(), pc.repeat, got, tc.keys[i])
+			}
+			if got := report.Digest(pc.base); got != tc.params {
+				t.Errorf("%s: cell %d params digest %s, want %s", tc.name, i, got, tc.params)
+			}
 		}
-		_, _ = c.JobStatus(context.Background(), "x")
-		return slept
-	}
-	a, b, c := schedule(7), schedule(7), schedule(8)
-	if len(a) != 3 {
-		t.Fatalf("schedule %v, want 3 backoffs", a)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed, different schedules: %v vs %v", a, b)
-		}
-	}
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatalf("different seeds gave identical schedules %v", a)
 	}
 }

@@ -3,6 +3,7 @@ package asapd
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 )
 
@@ -10,8 +11,7 @@ import (
 // multi-megabyte body is a client bug or abuse, not a bigger grid).
 const maxJobBody = 1 << 20
 
-// retryAfterSeconds is the hint sent with 429/503 responses. The Client's
-// backoff honors it as a floor.
+// retryAfterSeconds is the hint sent with 429/503 responses.
 const retryAfterSeconds = "1"
 
 // Handler returns the service's HTTP API:
@@ -46,11 +46,18 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
 }
 
-func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeJobSpec decodes a submitted body, refusing fields JobSpec lacks.
+func decodeJobSpec(r io.Reader) (JobSpec, error) {
 	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBody))
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
+func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeJobSpec(http.MaxBytesReader(w, r.Body, maxJobBody))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad job spec: "+err.Error())
 		return
 	}

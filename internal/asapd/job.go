@@ -5,12 +5,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/mmu"
 	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // JobSpec is the wire format of a submitted job: an experiment grid (one or
@@ -20,11 +16,12 @@ import (
 // the persistent store — independently, so a failed or timed-out cell never
 // takes the rest of the grid down with it.
 type JobSpec struct {
-	Cells []CellSpec `json:"cells"`
+	Cells []sim.CellSpec `json:"cells"`
 	// Params tunes the measurement protocol for every cell of the job.
-	Params ParamSpec `json:"params"`
+	Params sim.ParamSpec `json:"params"`
 	// Repeats is the number of independent repeats per cell (seeds derived
-	// per repeat exactly like cmd/paperrepro); 0 means 1.
+	// per repeat exactly like cmd/paperrepro); 0 means 1. Cells × Repeats
+	// may not exceed maxJobCells.
 	Repeats int `json:"repeats,omitempty"`
 	// TimeoutMS bounds the whole job. On expiry the job reports the cells
 	// that completed plus per-cell deadline errors for the rest. 0 means no
@@ -32,71 +29,11 @@ type JobSpec struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// CellSpec names one scenario cell in CLI vocabulary (the same strings
-// cmd/asapsim accepts).
-type CellSpec struct {
-	Workload      string `json:"workload"`
-	Virtualized   bool   `json:"virtualized,omitempty"`
-	Colocated     bool   `json:"colocated,omitempty"`
-	HostHugePages bool   `json:"host_huge_pages,omitempty"`
-	ClusteredTLB  bool   `json:"clustered_tlb,omitempty"`
-	ASAP          string `json:"asap,omitempty"`   // native config: off, p1, p1+p2, ...
-	Guest         string `json:"guest,omitempty"`  // guest config (with virtualized)
-	Host          string `json:"host,omitempty"`   // host config (with virtualized)
-	Scheme        string `json:"scheme,omitempty"` // translation scheme (empty = asap)
-	Mix           string `json:"mix,omitempty"`    // multi-process mix names
-	// Trace is a server-side trace file (recorded with asaptrace) that
-	// drives this cell as a replay; Workload is taken from the trace header.
-	Trace string `json:"trace,omitempty"`
-}
-
-// ParamSpec is the subset of sim.Params a job may override; zero values keep
-// the defaults (sim.DefaultParams, or the reduced Fast protocol).
-type ParamSpec struct {
-	Fast           bool    `json:"fast,omitempty"` // reduced measurement protocol
-	WarmupWalks    int     `json:"warmup_walks,omitempty"`
-	MeasureWalks   int     `json:"measure_walks,omitempty"`
-	Seed           uint64  `json:"seed,omitempty"`
-	Processes      int     `json:"processes,omitempty"`
-	QuantumRefs    int     `json:"quantum_refs,omitempty"`
-	FlushOnSwitch  bool    `json:"flush_on_switch,omitempty"`
-	RangeRegisters int     `json:"range_registers,omitempty"`
-	HoleProb       float64 `json:"hole_prob,omitempty"`
-	FiveLevel      bool    `json:"five_level,omitempty"`
-}
-
-// params materializes the effective sim.Params.
-func (ps ParamSpec) params() sim.Params {
-	p := sim.DefaultParams()
-	if ps.Fast {
-		p.WarmupWalks = 10_000
-		p.MeasureWalks = 8_000
-	}
-	if ps.WarmupWalks > 0 {
-		p.WarmupWalks = ps.WarmupWalks
-	}
-	if ps.MeasureWalks > 0 {
-		p.MeasureWalks = ps.MeasureWalks
-	}
-	if ps.Seed != 0 {
-		p.Seed = ps.Seed
-	}
-	if ps.Processes > 1 {
-		p.Processes = ps.Processes
-	}
-	if ps.QuantumRefs > 0 {
-		p.QuantumRefs = ps.QuantumRefs
-	}
-	p.FlushOnSwitch = ps.FlushOnSwitch
-	if ps.RangeRegisters > 0 {
-		p.RangeRegisters = ps.RangeRegisters
-	}
-	if ps.HoleProb > 0 {
-		p.HoleProb = ps.HoleProb
-	}
-	p.FiveLevel = ps.FiveLevel
-	return p
-}
+// maxJobCells bounds a job's planned cells (cells × repeats), so a small
+// body cannot make Submit allocate without limit. It sits above the largest
+// grid the repository runs: paperrepro -exp all simulates 230 cells, and
+// 1024 holds that grid at four repeats.
+const maxJobCells = 1024
 
 // plannedCell is one (cell, repeat) unit of work after validation: the
 // scenario, the job's base parameter set, and the repeat index. The cell it
@@ -116,69 +53,9 @@ func (pc plannedCell) key() sim.CellKey {
 	return sim.Key(pc.sc, pc.params())
 }
 
-// scenario parses one cell spec into its Scenario (plan validates the
-// combination). Trace files are loaded (and registered for replay) at
-// submission, so a bad path is a 400 at submit time, not a buried per-cell
-// error an hour later.
-func (cs CellSpec) scenario() (sim.Scenario, error) {
-	var sc sim.Scenario
-	if cs.Trace != "" {
-		tr, err := trace.LoadFile(cs.Trace)
-		if err != nil {
-			return sc, fmt.Errorf("trace %s: %w", cs.Trace, err)
-		}
-		sc = sim.UseTrace(tr)
-		if cs.Workload != "" && cs.Workload != sc.Workload.Name {
-			return sc, fmt.Errorf("trace %s records workload %s, spec says %s",
-				cs.Trace, sc.Workload.Name, cs.Workload)
-		}
-	} else {
-		spec, ok := workload.ByName(cs.Workload)
-		if !ok {
-			return sc, fmt.Errorf("unknown workload %q", cs.Workload)
-		}
-		sc.Workload = spec
-	}
-	sc.Virtualized = cs.Virtualized
-	sc.Colocated = cs.Colocated
-	sc.HostHugePages = cs.HostHugePages
-	sc.ClusteredTLB = cs.ClusteredTLB
-	sc.Mix = cs.Mix
-	scheme := cs.Scheme
-	if scheme == "" {
-		scheme = "asap"
-	}
-	if err := mmu.Validate(scheme); err != nil {
-		return sc, err
-	}
-	if mmu.Canonical(scheme) != "asap" {
-		// The asap default keeps the zero Scenario value so digests and
-		// store keys match the CLI harness exactly.
-		sc.Scheme = mmu.Canonical(scheme)
-	}
-	// The native config parses in scheme context (prefetch levels belong to
-	// the asap scheme), mirroring cmd/asapsim's flag validation.
-	var err error
-	if sc.ASAP.Native, err = mmu.ParseASAP(scheme, orOff(cs.ASAP)); err != nil {
-		return sc, fmt.Errorf("asap: %w", err)
-	}
-	if sc.ASAP.Guest, err = core.ParseConfig(orOff(cs.Guest)); err != nil {
-		return sc, fmt.Errorf("guest: %w", err)
-	}
-	if sc.ASAP.Host, err = core.ParseConfig(orOff(cs.Host)); err != nil {
-		return sc, fmt.Errorf("host: %w", err)
-	}
-	return sc, nil
-}
-
-func orOff(s string) string {
-	if s == "" {
-		return "off"
-	}
-	return s
-}
-
-// plan validates the whole spec and expands it to (cell, repeat) units.
+// plan validates the whole spec and expands it to (cell, repeat) units. A
+// trace cell loads (and registers) its file here, so a bad path is a 400 at
+// submission, not a buried per-cell error an hour later.
 func (spec JobSpec) plan() ([]plannedCell, error) {
 	if len(spec.Cells) == 0 {
 		return nil, fmt.Errorf("job has no cells")
@@ -186,21 +63,16 @@ func (spec JobSpec) plan() ([]plannedCell, error) {
 	if spec.Repeats < 0 {
 		return nil, fmt.Errorf("repeats must be >= 0")
 	}
-	repeats := spec.Repeats
-	if repeats == 0 {
-		repeats = 1
+	repeats := max(spec.Repeats, 1)
+	// Divide rather than multiply, so no repeats value can overflow.
+	if repeats > maxJobCells/len(spec.Cells) {
+		return nil, fmt.Errorf("job too large: %d cells x %d repeats exceeds the limit of %d cells per job",
+			len(spec.Cells), repeats, maxJobCells)
 	}
-	base := spec.Params.params()
-	var out []plannedCell
+	out := make([]plannedCell, 0, len(spec.Cells)*repeats)
 	for i, cs := range spec.Cells {
-		sc, err := cs.scenario()
+		sc, base, err := sim.Parse(cs, spec.Params)
 		if err != nil {
-			return nil, fmt.Errorf("cell %d: %w", i, err)
-		}
-		// Contradictory combinations are submit-time errors, exactly like
-		// the CLI's: silently ignoring a dimension produces misleading
-		// results.
-		if err := sim.Validate(sc, base); err != nil {
 			return nil, fmt.Errorf("cell %d: %w", i, err)
 		}
 		for rep := 0; rep < repeats; rep++ {

@@ -47,14 +47,8 @@ func TestMetricsPromExposition(t *testing.T) {
 		}
 	}()
 
-	c := &Client{Base: srv.URL, Seed: 1}
-	st, err := c.SubmitJob(context.Background(), fastSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.WaitJob(context.Background(), st.ID, 10*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	st := postJob(t, srv.URL, fastSpec())
+	waitJob(t, s, st.ID)
 
 	// JSON remains the default and carries the additive fields.
 	resp, err := http.Get(srv.URL + "/metrics")

@@ -84,9 +84,6 @@ func Open(dir string, fsys faultfs.FS) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // path returns the entry file for a cell.
 func (s *Store) path(key sim.CellKey) string {
 	return filepath.Join(s.dir, KeyDigest(key)+".res")
@@ -182,15 +179,6 @@ func (s *Store) quarantine(key sim.CellKey) {
 		// removal so the corrupt entry can at least never be read again.
 		_ = s.fs.Remove(s.path(key))
 	}
-}
-
-// Len reports the number of live entries on disk.
-func (s *Store) Len() (int, error) {
-	entries, err := s.fs.Glob(filepath.Join(s.dir, "*.res"))
-	if err != nil {
-		return 0, err
-	}
-	return len(entries), nil
 }
 
 func (s *Store) count(f func(*Stats)) {

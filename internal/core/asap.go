@@ -149,9 +149,6 @@ func NewEngine(capacity int, cfg Config) *Engine {
 	return &Engine{cfg: cfg, capacity: capacity}
 }
 
-// Config returns the prefetch-level configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // Capacity returns the number of range registers.
 func (e *Engine) Capacity() int { return e.capacity }
 

@@ -73,8 +73,7 @@ func Default(out io.Writer) Options {
 // Fast returns reduced-protocol options for smoke runs and benchmarks.
 func Fast(out io.Writer) Options {
 	o := Default(out)
-	o.Params.WarmupWalks = 10_000
-	o.Params.MeasureWalks = 8_000
+	o.Params = sim.FastParams()
 	return o
 }
 

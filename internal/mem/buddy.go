@@ -57,9 +57,6 @@ func NewBuddy(frames uint64) *Buddy {
 // blockFrames returns the number of frames in a block of the given order.
 func blockFrames(order int) uint64 { return uint64(1) << order }
 
-// Frames returns the total number of frames managed by the allocator.
-func (b *Buddy) Frames() uint64 { return b.frames }
-
 // InUse returns the number of frames currently allocated.
 func (b *Buddy) InUse() uint64 { return b.inUse }
 

@@ -31,9 +31,6 @@ func (s *Scatter) Alloc() Frame {
 	return f
 }
 
-// Allocated returns how many frames have been handed out.
-func (s *Scatter) Allocated() uint64 { return s.next }
-
 // Bump hands out consecutive frames starting at base. It is the degenerate
 // "perfectly contiguous" allocator used for ASAP's reserved page-table
 // regions and for carving fixed areas of the machine address space.

@@ -131,14 +131,6 @@ func (t *Tracer) DefineProcess(pid int, name string) {
 	t.procs = append(t.procs, procName{pid: int32(pid), name: name})
 }
 
-// SetPID attributes subsequent events to the given simulated process.
-func (t *Tracer) SetPID(pid int) {
-	if t == nil {
-		return
-	}
-	t.pid = int32(pid)
-}
-
 // TLBHit records a sampled instant for a reference resolved by the TLB.
 func (t *Tracer) TLBHit(now int64) {
 	if t == nil {

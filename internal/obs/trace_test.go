@@ -12,7 +12,6 @@ import (
 func TestNilTracerIsInert(t *testing.T) {
 	var tr *Tracer
 	tr.DefineProcess(0, "x")
-	tr.SetPID(1)
 	tr.TLBHit(1)
 	tr.WalkStart(2)
 	tr.Step("native", 4, "L1", 2, 3, false)

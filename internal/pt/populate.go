@@ -52,20 +52,6 @@ func SpreadVPN(startVPN, total, resident, i uint64) uint64 {
 	return startVPN + i*total/resident
 }
 
-// SpreadIndex inverts SpreadVPN: given a page offset (in pages from the range
-// start), it returns the resident index mapping there, or false if the spread
-// leaves that page unmapped.
-func SpreadIndex(total, resident, offset uint64) (uint64, bool) {
-	if offset >= total || resident == 0 || resident > total {
-		return 0, false
-	}
-	i := (offset*resident + total - 1) / total
-	if i < resident && i*total/resident == offset {
-		return i, true
-	}
-	return 0, false
-}
-
 // PopulateSpread marks resident pages present, spread evenly over the total
 // pages beginning at start. It visits each leaf node once and sets presence
 // bits in bulk, so the cost is O(resident + nodes).

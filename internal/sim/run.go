@@ -354,7 +354,7 @@ func setupNative(sc Scenario, p Params, h *cache.Hierarchy, mshr *cache.MSHRFile
 	var asm *nativeAssembly
 	var src refSource
 	if sc.Trace != "" {
-		tr, err := traceByDigest(sc.Trace)
+		tr, err := RegisteredTrace(sc.Trace)
 		if err != nil {
 			return nil, err
 		}

@@ -29,7 +29,8 @@ func UseTrace(tr *trace.Trace) Scenario {
 	return Scenario{Workload: tr.Header.Spec, Trace: tr.Digest}
 }
 
-func traceByDigest(digest string) (*trace.Trace, error) {
+// RegisteredTrace returns the trace UseTrace registered under digest.
+func RegisteredTrace(digest string) (*trace.Trace, error) {
 	traceMu.Lock()
 	tr, ok := traceReg[digest]
 	traceMu.Unlock()

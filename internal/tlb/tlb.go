@@ -125,9 +125,6 @@ func NewTwoLevel(clusteredL2 bool) *TwoLevel {
 // ASIDShift).
 func (t *TwoLevel) SetASID(asid uint64) { t.asid = asid }
 
-// ASID returns the identifier tagging subsequent lookups and fills.
-func (t *TwoLevel) ASID() uint64 { return t.asid }
-
 // Insert fills both levels after a successful walk.
 func (t *TwoLevel) Insert(pageNum uint64, class PageClass, pfn uint64, neighbors NeighborFunc) {
 	t.L1.Insert(t.asid, pageNum, class, pfn, neighbors)

@@ -20,14 +20,7 @@ import (
 // a small compressed file cannot make it allocate without limit.
 const maxBodyBytes = 1 << 30
 
-// byteSource is what header decoding reads from; *bufio.Reader (streaming)
-// and *bytes.Reader (Load) both satisfy it.
-type byteSource interface {
-	io.ByteReader
-	io.Reader
-}
-
-func readUvarint(r byteSource) (uint64, error) {
+func readUvarint(r *bytes.Reader) (uint64, error) {
 	v, err := binary.ReadUvarint(r)
 	if err == io.EOF {
 		// A value cut off mid-file is corruption, not a clean end.
@@ -36,12 +29,12 @@ func readUvarint(r byteSource) (uint64, error) {
 	return v, err
 }
 
-func readFloat(r byteSource) (float64, error) {
+func readFloat(r *bytes.Reader) (float64, error) {
 	bits, err := readUvarint(r)
 	return math.Float64frombits(bits), err
 }
 
-func readString(r byteSource, max int) (string, error) {
+func readString(r *bytes.Reader, max int) (string, error) {
 	n, err := readUvarint(r)
 	if err != nil {
 		return "", err
@@ -56,7 +49,7 @@ func readString(r byteSource, max int) (string, error) {
 	return string(b), nil
 }
 
-func readInt(r byteSource) (int, error) {
+func readInt(r *bytes.Reader) (int, error) {
 	v, err := readUvarint(r)
 	if err != nil {
 		return 0, err
@@ -68,7 +61,7 @@ func readInt(r byteSource) (int, error) {
 }
 
 // readHeader decodes the header in appendHeader's field order.
-func readHeader(r byteSource) (Header, error) {
+func readHeader(r *bytes.Reader) (Header, error) {
 	var h Header
 	var err error
 	s := &h.Spec
@@ -157,13 +150,15 @@ func readHeader(r byteSource) (Header, error) {
 
 // readPreamble consumes the magic/version/flags preamble and returns the
 // body reader (decompressing when the gzip flag is set).
-func readPreamble(r io.Reader) (byteSource, error) {
+func readPreamble(r io.Reader) (io.Reader, error) {
 	pre := make([]byte, len(magic)+2)
 	if _, err := io.ReadFull(r, pre); err != nil {
 		return nil, fmt.Errorf("trace: truncated preamble: %w", err)
 	}
 	if string(pre[:len(magic)]) != magic {
-		return nil, fmt.Errorf("trace: bad magic %q", pre[:len(magic)])
+		// Quote none of the bytes: a service passes this error to a client
+		// that named an arbitrary file.
+		return nil, fmt.Errorf("trace: not a trace file (bad magic)")
 	}
 	if pre[len(magic)] != version {
 		return nil, fmt.Errorf("trace: unsupported version %d (have %d)", pre[len(magic)], version)
@@ -177,54 +172,10 @@ func readPreamble(r io.Reader) (byteSource, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: bad gzip framing: %w", err)
 		}
-		return bufio.NewReader(gz), nil
+		return gz, nil
 	}
-	return bufio.NewReader(r), nil
+	return r, nil
 }
-
-// Reader streams a trace from an io.Reader with O(1) memory.
-type Reader struct {
-	body   byteSource
-	header Header
-	prev   uint64
-	count  uint64
-}
-
-// NewReader parses the preamble and header and returns a Reader positioned at
-// the first reference.
-func NewReader(r io.Reader) (*Reader, error) {
-	body, err := readPreamble(r)
-	if err != nil {
-		return nil, err
-	}
-	h, err := readHeader(body)
-	if err != nil {
-		return nil, err
-	}
-	return &Reader{body: body, header: h}, nil
-}
-
-// Header returns the trace header.
-func (r *Reader) Header() Header { return r.header }
-
-// Next returns the next reference, or io.EOF at the clean end of the stream.
-func (r *Reader) Next() (mem.VirtAddr, error) {
-	u, err := binary.ReadUvarint(r.body)
-	if err != nil {
-		if err == io.EOF {
-			// No bytes at all: the clean end of the stream. A varint cut off
-			// mid-value surfaces as ErrUnexpectedEOF below.
-			return 0, io.EOF
-		}
-		return 0, fmt.Errorf("trace: reference %d: %w", r.count, err)
-	}
-	r.prev += uint64(unzigzag(u))
-	r.count++
-	return mem.VirtAddr(r.prev), nil
-}
-
-// Count returns the number of references decoded so far.
-func (r *Reader) Count() uint64 { return r.count }
 
 // Trace is a fully loaded, validated trace: the header, the content digest,
 // the reference count and the compact encoded stream, ready to be replayed

@@ -33,9 +33,9 @@
 // gzip framing of the same capture share a digest — the digest identifies the
 // trace's content, which is what memoization and report records key on.
 //
-// Writer and Reader both stream with O(1) memory; Load keeps the compact
-// encoded stream in memory so a simulation (or several, concurrently) can
-// replay it without touching the file again.
+// Writer streams with O(1) memory; Load keeps the compact encoded stream in
+// memory so a simulation (or several, concurrently) can replay it without
+// touching the file again.
 package trace
 
 import (
