@@ -1,15 +1,19 @@
 package cache
 
-// The AVX2 LookupInsert kernels of scan_amd64.s. Each takes one whole set of
-// its shape (8 ways of uint64, 20 of uint32) and compares every way with t
-// at once. A miss moves every way down one, dropping the last, and a hit at
-// way k moves only ways 0 to k-1; either way t lands in way 0. That leaves
-// the set and the result exactly as the scalar scan does, given that empty
-// ways form a suffix (a miss moves empty ways only onto empty ways). The
-// caller checks that t fits below the sentinel.
+// The AVX2 kernels of scan_amd64.s. Each takes one whole set of its shape
+// (8 ways of uint64, 20 of uint32) and compares every way with t at once.
+// In the LookupInsert kernels a miss moves every way down one, dropping the
+// last, and a hit at way k moves only ways 0 to k-1; either way t lands in
+// way 0. That leaves the set and the result exactly as the scalar scan does,
+// given that empty ways form a suffix (a miss moves empty ways only onto
+// empty ways). The Lookup kernel handles a hit the same way and stores
+// nothing on a miss. The caller checks that t fits below the sentinel.
 
 //go:noescape
 func lookupInsert8x64(set []uint64, t uint64) bool
+
+//go:noescape
+func lookup8x64(set []uint64, t uint64) bool
 
 //go:noescape
 func lookupInsert20x32(set []uint32, t uint32) bool

@@ -45,6 +45,39 @@ DATA maskd<>+0x90(SB)/8, $0
 DATA maskd<>+0x98(SB)/8, $0
 GLOBL maskd<>(SB), RODATA|NOPTR, $160
 
+// COMPARE8 loads the 8 ways of the set at set_base+0(FP) into Y1 (ways 0-3)
+// and Y2 (ways 4-7), with the set's address in DI and t in AX, and compares
+// every way with t at once. Y3 and Y4 take the lane masks of the ways that
+// hold t, and ZF is set when none does.
+#define COMPARE8 \
+	MOVQ         set_base+0(FP), DI; \
+	MOVQ         t+24(FP), AX; \
+	VPBROADCASTQ t+24(FP), Y0; \
+	VMOVDQU      (DI), Y1; \
+	VMOVDQU      32(DI), Y2; \
+	VPCMPEQQ     Y0, Y1, Y3; \
+	VPCMPEQQ     Y0, Y2, Y4; \
+	VPOR         Y3, Y4, Y5; \
+	VPTEST       Y5, Y5
+
+// HIT8 finishes a hit that COMPARE8 found at way k: ways 0 to k-1 move down
+// one through masked stores, and t goes to way 0. Every store takes
+// registers COMPARE8 loaded before any store.
+#define HIT8 \
+	VMOVMSKPD  Y3, R8; \
+	VMOVMSKPD  Y4, R9; \
+	SHLL       $4, R9; \
+	ORL        R9, R8; \
+	BSFL       R8, R10; \
+	MOVQ       $8, R11; \
+	SUBQ       R10, R11; \
+	LEAQ       maskq<>(SB), SI; \
+	VMOVDQU    (SI)(R11*8), Y7; \
+	VMOVDQU    32(SI)(R11*8), Y8; \
+	VPMASKMOVQ Y1, Y7, 8(DI); \
+	VPMASKMOVQ Y2, Y8, 40(DI); \
+	MOVQ       AX, (DI)
+
 // func lookupInsert8x64(set []uint64, t uint64) bool
 //
 // The set's 8 ways are compared with t at once. On a miss, every way moves
@@ -52,18 +85,9 @@ GLOBL maskd<>(SB), RODATA|NOPTR, $160
 // set that evicts the LRU way, and in a set with empty ways it is exactly
 // the scalar scan's result too, because empty ways form a suffix, so the
 // ways it moves past the first empty one are empty and land on empty ways.
-// On a hit at way k, only ways 0 to k-1 move down, through masked stores,
-// and t goes to way 0. Every store takes registers loaded before any store.
+// On a hit at way k, only ways 0 to k-1 move down (HIT8).
 TEXT ·lookupInsert8x64(SB), NOSPLIT, $0-33
-	MOVQ         set_base+0(FP), DI
-	MOVQ         t+24(FP), AX
-	VPBROADCASTQ t+24(FP), Y0
-	VMOVDQU      (DI), Y1    // ways 0-3
-	VMOVDQU      32(DI), Y2  // ways 4-7
-	VPCMPEQQ     Y0, Y1, Y3
-	VPCMPEQQ     Y0, Y2, Y4
-	VPOR         Y3, Y4, Y5
-	VPTEST       Y5, Y5
+	COMPARE8
 	JNE          hit8
 	VMOVDQU      24(DI), Y6  // ways 3-6
 	VMOVDQU      Y1, 8(DI)   // to ways 1-4
@@ -74,20 +98,25 @@ TEXT ·lookupInsert8x64(SB), NOSPLIT, $0-33
 	RET
 
 hit8:
-	VMOVMSKPD  Y3, R8
-	VMOVMSKPD  Y4, R9
-	SHLL       $4, R9
-	ORL        R9, R8
-	BSFL       R8, R10           // k, the way holding t
-	MOVQ       $8, R11
-	SUBQ       R10, R11
-	LEAQ       maskq<>(SB), SI
-	VMOVDQU    (SI)(R11*8), Y7   // lanes j < k
-	VMOVDQU    32(SI)(R11*8), Y8 // lanes j+4 < k
-	VPMASKMOVQ Y1, Y7, 8(DI)
-	VPMASKMOVQ Y2, Y8, 40(DI)
-	MOVQ       AX, (DI)
-	MOVB       $1, ret+32(FP)
+	HIT8
+	MOVB $1, ret+32(FP)
+	VZEROUPPER
+	RET
+
+// func lookup8x64(set []uint64, t uint64) bool
+//
+// Lookup's kernel: lookupInsert8x64's compare and hit path, and a miss that
+// stores nothing.
+TEXT ·lookup8x64(SB), NOSPLIT, $0-33
+	COMPARE8
+	JNE  hitl8
+	MOVB $0, ret+32(FP)
+	VZEROUPPER
+	RET
+
+hitl8:
+	HIT8
+	MOVB $1, ret+32(FP)
 	VZEROUPPER
 	RET
 

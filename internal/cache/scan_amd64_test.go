@@ -11,11 +11,12 @@ import (
 // TestScanKernelMatchesLoop drives each vector kernel and the scalar scan on
 // identical arrays and requires the same result from every operation and the
 // same tags, array-wide, at regular points. Kernel calls alternate between
-// the array's LookupInsert (which skips the call on a way-0 hit) and the
-// kernel itself (which must also get way 0 right). The test counts
-// LookupInsert outcomes by what the scalar array held beforehand and fails
-// unless the stream hit at every depth, missed into full sets and missed
-// into partly filled ones.
+// the array's LookupInsert or Lookup (which skip the call on a way-0 hit)
+// and the kernel itself (which must also get way 0 right). A Lookup that
+// misses must leave its set as it was. The test counts LookupInsert and
+// Lookup outcomes by what the scalar array held beforehand and fails unless
+// each stream hit at every depth, missed into full sets and missed into
+// partly filled ones.
 func TestScanKernelMatchesLoop(t *testing.T) {
 	if !hasAVX2 {
 		t.Skip("the CPU lacks AVX2 or the OS does not save YMM state: no kernel to compare")
@@ -27,18 +28,55 @@ func TestScanKernelMatchesLoop(t *testing.T) {
 	for _, entries := range []int{512, 64} {
 		t.Run(fmt.Sprintf("8x64/%d", entries), func(t *testing.T) {
 			vec, loop := NewSetAssoc(entries, 8), NewSetAssoc(entries, 8)
-			testScanKernel(t, vec, &vec.lruArray, loop, &loop.lruArray, lookupInsert8x64)
+			testScanKernel(t, vec, &vec.lruArray, loop, &loop.lruArray, lookupInsert8x64, lookup8x64)
 		})
 	}
 	t.Run("20x32/20480", func(t *testing.T) {
 		vec, loop := newLLCArray(20480, 20), newLLCArray(20480, 20)
-		testScanKernel(t, vec, &vec.lruArray, loop, &loop.lruArray, lookupInsert20x32)
+		testScanKernel(t, vec, &vec.lruArray, loop, &loop.lruArray, lookupInsert20x32, nil)
 	})
 }
 
+// scanOutcomes counts the outcomes of one operation by what the scalar array
+// held beforehand: hits by depth, misses into full and partly filled sets.
+type scanOutcomes struct {
+	hits                      []int
+	fullMisses, partialMisses int
+}
+
+// count records the outcome of probing set for t and reports whether it is
+// a hit.
+func count[T tag](o *scanOutcomes, set []T, t T) bool {
+	switch i := find(set, t); {
+	case i >= 0:
+		o.hits[i]++
+		return true
+	case set[len(set)-1] == ^T(0):
+		o.partialMisses++
+	default:
+		o.fullMisses++
+	}
+	return false
+}
+
+// check fails unless the stream of op hit at every depth and missed into
+// both full and partly filled sets.
+func (o *scanOutcomes) check(t *testing.T, op string) {
+	t.Helper()
+	for i, n := range o.hits {
+		if n == 0 {
+			t.Errorf("no %s hit at way %d", op, i)
+		}
+	}
+	if o.fullMisses == 0 || o.partialMisses == 0 {
+		t.Errorf("%s misses into full sets: %d, into partly filled sets: %d; want both", op, o.fullMisses, o.partialMisses)
+	}
+}
+
 // testScanKernel compares vec, whose tags are vecArr and which must take
-// kernel, against loop, whose tags are loopArr, on the scalar scan.
-func testScanKernel[T tag](t *testing.T, vec lruOps, vecArr *lruArray[T], loop lruOps, loopArr *lruArray[T], kernel func([]T, T) bool) {
+// kernel, and lookup unless it is nil, against loop, whose tags are loopArr,
+// on the scalar scan.
+func testScanKernel[T tag](t *testing.T, vec lruOps, vecArr *lruArray[T], loop lruOps, loopArr *lruArray[T], kernel, lookup func([]T, T) bool) {
 	if !vecArr.vec {
 		t.Fatalf("no kernel for %d ways of %T", vecArr.nways, T(0))
 	}
@@ -47,8 +85,9 @@ func testScanKernel[T tag](t *testing.T, vec lruOps, vecArr *lruArray[T], loop l
 	// invalidations too.
 	keys := newDiffKeys(vecArr.Entries(), vecArr.nways)
 	keys.nsets = 2
-	hits := make([]int, vecArr.nways)
-	var fullMisses, partialMisses int
+	inserts := scanOutcomes{hits: make([]int, vecArr.nways)}
+	lookups := scanOutcomes{hits: make([]int, vecArr.nways)}
+	before := make([]T, vecArr.nways)
 	const ops = 40_000
 	for seed := uint64(1); seed <= 3; seed++ {
 		r := rng.New(seed)
@@ -57,15 +96,8 @@ func testScanKernel[T tag](t *testing.T, vec lruOps, vecArr *lruArray[T], loop l
 			where := func() string { return fmt.Sprintf("seed %d op %d key %#x", seed, op, k) }
 			switch c := r.Intn(1000); {
 			case c < 700:
-				set, tg := loopArr.set(k), T(k>>loopArr.shift)
-				switch i := find(set, tg); {
-				case i >= 0:
-					hits[i]++
-				case set[len(set)-1] == ^T(0):
-					partialMisses++
-				default:
-					fullMisses++
-				}
+				tg := T(k >> loopArr.shift)
+				count(&inserts, loopArr.set(k), tg)
 				want, got := loop.LookupInsert(k), false
 				if c%2 == 0 {
 					got = kernel(vecArr.set(k), tg)
@@ -76,8 +108,20 @@ func testScanKernel[T tag](t *testing.T, vec lruOps, vecArr *lruArray[T], loop l
 					t.Fatalf("%s: kernel LookupInsert = %v, loop says %v", where(), got, want)
 				}
 			case c < 950:
-				if got, want := vec.Lookup(k), loop.Lookup(k); got != want {
+				tg := T(k >> loopArr.shift)
+				hit := count(&lookups, loopArr.set(k), tg)
+				copy(before, vecArr.set(k))
+				want, got := loop.Lookup(k), false
+				if lookup != nil && c%2 == 0 {
+					got = lookup(vecArr.set(k), tg)
+				} else {
+					got = vec.Lookup(k)
+				}
+				if got != want {
 					t.Fatalf("%s: Lookup = %v, loop says %v", where(), got, want)
+				}
+				if !hit && !slices.Equal(vecArr.set(k), before) {
+					t.Fatalf("%s: a Lookup miss changed the set from %#x to %#x", where(), before, vecArr.set(k))
 				}
 			case c < 999:
 				// A single-key, low-bit or ASID invalidation, which frees
@@ -106,12 +150,6 @@ func testScanKernel[T tag](t *testing.T, vec lruOps, vecArr *lruArray[T], loop l
 			t.Fatalf("seed %d: tag arrays differ at the end", seed)
 		}
 	}
-	for i, n := range hits {
-		if n == 0 {
-			t.Errorf("no LookupInsert hit at way %d", i)
-		}
-	}
-	if fullMisses == 0 || partialMisses == 0 {
-		t.Errorf("misses into full sets: %d, into partly filled sets: %d; want both", fullMisses, partialMisses)
-	}
+	inserts.check(t, "LookupInsert")
+	lookups.check(t, "Lookup")
 }

@@ -11,6 +11,10 @@ func lookupInsert8x64(set []uint64, t uint64) bool {
 	panic("cache: no vector set scan on this platform")
 }
 
+func lookup8x64(set []uint64, t uint64) bool {
+	panic("cache: no vector set scan on this platform")
+}
+
 func lookupInsert20x32(set []uint32, t uint32) bool {
 	panic("cache: no vector set scan on this platform")
 }

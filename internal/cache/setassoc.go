@@ -4,15 +4,18 @@
 // MSHR file that makes ASAP prefetches best-effort.
 //
 // Which set scan runs where: on amd64 CPUs with AVX2, and an OS that saves
-// the YMM state, LookupInsert and Insert on two set shapes run a vector
-// kernel (scan_amd64.s). One takes 8 ways of 64-bit tags: the L1 and L2
-// caches, the 8-way L1 TLB and Victima's residency shadow. The other takes
-// 20 ways of 32-bit tags: the LLC. Every other shape (the 6-way L2 TLB, the
-// PWCs, Revelator's table), and every other CPU or platform, runs the scalar
-// scan. Each array picks its path once, when it is built, from its tag
-// width, its ways and a CPUID probe; no option selects it. Both paths leave
-// the same result and the same sets. Lookup, Contains and FlushMask are
-// scalar everywhere.
+// the YMM state, two set shapes run vector kernels (scan_amd64.s).
+//   - 8 ways of 64-bit tags: the L1 and L2 caches, the 8-way L1 TLB and
+//     Victima's residency shadow. LookupInsert and Insert run one kernel,
+//     and Lookup runs a second that shares its compare and hit path; the
+//     L1 TLB's probes and Victima's residency probes take it.
+//   - 20 ways of 32-bit tags: the LLC. LookupInsert and Insert run a kernel.
+//
+// Every other shape (the 6-way L2 TLB, the PWCs, Revelator's table), and
+// every other CPU or platform, runs the scalar scan. Each array picks its
+// path once, when it is built, from its tag width, its ways and a CPUID
+// probe; no option selects it. Both paths leave the same result and the same
+// sets. Contains and FlushMask are scalar everywhere.
 package cache
 
 import (
@@ -44,8 +47,8 @@ type lruArray[T tag] struct {
 	shift uint
 	limit uint64 // the first key whose tag reaches the sentinel
 	tags  []T
-	// vec is set when this CPU has a vector LookupInsert kernel for the
-	// array's set shape; SetAssoc and llcArray call it.
+	// vec is set when this CPU has vector kernels for the array's set
+	// shape; SetAssoc and llcArray call them.
 	vec bool
 }
 
@@ -86,9 +89,9 @@ func (s *lruArray[T]) set(key uint64) []T {
 	return s.tags[base : base+s.nways]
 }
 
-// hasKernel reports whether sets of ways tags of type T have a vector
-// LookupInsert kernel on this CPU: 8 ways of 64-bit tags and 20 ways of
-// 32-bit tags do where it has AVX2.
+// hasKernel reports whether sets of ways tags of type T have vector kernels
+// on this CPU: 8 ways of 64-bit tags and 20 ways of 32-bit tags do where it
+// has AVX2.
 func hasKernel[T tag](ways int) bool {
 	switch any(T(0)).(type) {
 	case uint64:
@@ -125,13 +128,9 @@ func find[T tag](set []T, t T) int {
 	return -1
 }
 
-// Lookup reports whether key is present, making it the most recently used
-// key of its set on a hit.
-func (s *lruArray[T]) Lookup(key uint64) bool {
-	if key >= s.limit {
-		return false // never falsely hit an empty way
-	}
-	set, t := s.set(key), T(key>>(s.shift&63))
+// lookupSet reports whether set holds t and, if it does, makes t the set's
+// most recently used tag. It is the scalar Lookup scan.
+func lookupSet[T tag](set []T, t T) bool {
 	i := find(set, t)
 	if i < 0 {
 		return false
@@ -139,6 +138,13 @@ func (s *lruArray[T]) Lookup(key uint64) bool {
 	copy(set[1:i+1], set[:i])
 	set[0] = t
 	return true
+}
+
+// Lookup reports whether key is present, making it the most recently used
+// key of its set on a hit.
+func (s *lruArray[T]) Lookup(key uint64) bool {
+	// A key whose tag does not fit never falsely hits an empty way.
+	return key < s.limit && lookupSet(s.set(key), T(key>>(s.shift&63)))
 }
 
 // Contains reports whether key is present without updating LRU state.
@@ -230,6 +236,24 @@ func (s *SetAssoc) LookupInsert(key uint64) bool {
 	}
 	set, t := s.setTag(key)
 	return set[0] == t || lookupInsert8x64(set, t)
+}
+
+// Lookup is lruArray.Lookup, through the 8-way vector kernel where the array
+// has one. A hit at way 0 changes nothing and returns before either scan.
+// The scalar scan is inlined here, so an array without a kernel makes one
+// call per Lookup, as the promoted lruArray.Lookup did.
+func (s *SetAssoc) Lookup(key uint64) bool {
+	if key >= s.limit {
+		return false
+	}
+	set := s.set(key)
+	switch {
+	case set[0] == key:
+		return true
+	case s.vec:
+		return lookup8x64(set, key)
+	}
+	return lookupSet(set, key)
 }
 
 // Insert installs key, evicting the LRU way of its set if needed. Inserting a

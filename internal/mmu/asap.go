@@ -76,11 +76,10 @@ func (s *asapScheme) Switch(pid int) int {
 }
 
 // Translate implements Scheme: TLB probe, then walk (range prefetches issue
-// inside the walker) and fill.
+// inside the walker) and fill. The frame is resolved for the fill only: a
+// TLB hit needs none (see tlb.TwoLevel.LookupVA).
 func (s *asapScheme) Translate(now int64, va mem.VirtAddr, wr *walker.Result) bool {
-	p := s.cur
-	pfn := p.Frame(va.VPN())
-	if s.tlb.LookupVA(va, pfn, p.Neighbors) {
+	if s.tlb.LookupVA(va, 0, nil) {
 		if s.tr != nil {
 			s.tr.TLBHit(now)
 		}
@@ -89,8 +88,9 @@ func (s *asapScheme) Translate(now int64, va mem.VirtAddr, wr *walker.Result) bo
 	if s.tr != nil {
 		s.tr.WalkStart(now)
 	}
+	p := s.cur
 	s.w.Walk(now, p.Table, va, wr)
-	s.tlb.InsertVA(va, wr.Huge, pfn, p.Neighbors)
+	s.tlb.InsertVA(va, wr.Huge, p.Frame(va.VPN()), p.Neighbors)
 	return true
 }
 
@@ -201,12 +201,12 @@ func (s *nestedScheme) Switch(pid int) int {
 	panic("mmu: the nested asap scheme is single-process")
 }
 
-// Translate implements Scheme: the data page's machine frame is resolved up
-// front (the GPA map is a pure function), then TLB probe, 2D walk and fill.
+// Translate implements Scheme: TLB probe, then 2D walk and fill. The data
+// page's guest-physical address, which the walk needs, and its machine
+// frame, which the fill needs, are resolved on a miss only; both maps are
+// pure functions, so when they run changes nothing.
 func (s *nestedScheme) Translate(now int64, va mem.VirtAddr, wr *walker.Result) bool {
-	gpa := s.dataGPA(va)
-	maddr := s.w.Translate(gpa)
-	if s.tlb.LookupVA(va, uint64(maddr.Frame()), nil) {
+	if s.tlb.LookupVA(va, 0, nil) {
 		if s.tr != nil {
 			s.tr.TLBHit(now)
 		}
@@ -215,8 +215,9 @@ func (s *nestedScheme) Translate(now int64, va mem.VirtAddr, wr *walker.Result) 
 	if s.tr != nil {
 		s.tr.WalkStart(now)
 	}
+	gpa := s.dataGPA(va)
 	s.w.Walk(now, va, gpa, wr)
-	s.tlb.InsertVA(va, wr.Huge, uint64(maddr.Frame()), nil)
+	s.tlb.InsertVA(va, wr.Huge, uint64(s.w.Translate(gpa).Frame()), nil)
 	return true
 }
 

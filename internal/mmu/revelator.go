@@ -105,16 +105,16 @@ func (s *revelatorScheme) Switch(pid int) int {
 	return 0
 }
 
-// Translate implements Scheme.
+// Translate implements Scheme. The frame is resolved for the TLB fill only,
+// as in the asap scheme.
 func (s *revelatorScheme) Translate(now int64, va mem.VirtAddr, wr *walker.Result) bool {
-	p := s.cur
-	pfn := p.Frame(va.VPN())
-	if s.tlb.LookupVA(va, pfn, p.Neighbors) {
+	if s.tlb.LookupVA(va, 0, nil) {
 		if s.tr != nil {
 			s.tr.TLBHit(now)
 		}
 		return false
 	}
+	p := s.cur
 	if s.tr != nil {
 		s.tr.WalkStart(now)
 	}
@@ -155,7 +155,7 @@ func (s *revelatorScheme) Translate(now int64, va mem.VirtAddr, wr *walker.Resul
 		if s.tr != nil {
 			s.tr.Step(walker.DimNative.String(), level, served.String(), now, int64(lat), false)
 		}
-		s.tlb.InsertVA(va, hit2, pfn, p.Neighbors)
+		s.tlb.InsertVA(va, hit2, p.Frame(va.VPN()), p.Neighbors)
 		return true
 	}
 	if s.tr != nil {
@@ -173,7 +173,7 @@ func (s *revelatorScheme) Translate(now int64, va mem.VirtAddr, wr *walker.Resul
 		k = k2
 	}
 	s.entries.LookupInsert(k)
-	s.tlb.InsertVA(va, wr.Huge, pfn, p.Neighbors)
+	s.tlb.InsertVA(va, wr.Huge, p.Frame(va.VPN()), p.Neighbors)
 	return true
 }
 

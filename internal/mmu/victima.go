@@ -114,16 +114,16 @@ func (s *victimaScheme) probe(va mem.VirtAddr) (served cache.ServedBy, lat int, 
 	return 0, 0, false, false
 }
 
-// Translate implements Scheme.
+// Translate implements Scheme. The frame is resolved for the TLB fill only,
+// as in the asap scheme.
 func (s *victimaScheme) Translate(now int64, va mem.VirtAddr, wr *walker.Result) bool {
-	p := s.cur
-	pfn := p.Frame(va.VPN())
-	if s.tlb.LookupVA(va, pfn, p.Neighbors) {
+	if s.tlb.LookupVA(va, 0, nil) {
 		if s.tr != nil {
 			s.tr.TLBHit(now)
 		}
 		return false
 	}
+	p := s.cur
 	if s.tr != nil {
 		s.tr.WalkStart(now)
 	}
@@ -144,7 +144,7 @@ func (s *victimaScheme) Translate(now int64, va mem.VirtAddr, wr *walker.Result)
 		if s.tr != nil {
 			s.tr.Step(walker.DimNative.String(), level, served.String(), now, int64(lat), false)
 		}
-		s.tlb.InsertVA(va, huge, pfn, p.Neighbors)
+		s.tlb.InsertVA(va, huge, p.Frame(va.VPN()), p.Neighbors)
 		return true
 	}
 	if s.tr != nil {
@@ -158,7 +158,7 @@ func (s *victimaScheme) Translate(now int64, va mem.VirtAddr, wr *walker.Result)
 		class = tlb.Page2M
 	}
 	s.resident.LookupInsert(vtag(s.asid, tlb.PageNumber(va, class), class))
-	s.tlb.InsertVA(va, wr.Huge, pfn, p.Neighbors)
+	s.tlb.InsertVA(va, wr.Huge, p.Frame(va.VPN()), p.Neighbors)
 	return true
 }
 

@@ -318,10 +318,19 @@ func TestDifferentialArenaMatchesPointerLayout(t *testing.T) {
 				}
 			}
 
+			// One result takes every in-place walk, as a walker keeps one:
+			// the probes mix walk lengths, so entries past N are stale.
+			var reused WalkResult
 			for _, va := range probesAround(vas) {
 				got, want := arena.Walk(va), ref.Walk(va)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("Walk(%#x): arena %+v, ref %+v", uint64(va), got, want)
+				}
+				arena.WalkInto(va, &reused)
+				in := reused
+				clear(in.Entries[in.N:])
+				if !reflect.DeepEqual(in, want) {
+					t.Fatalf("WalkInto(%#x) over an earlier walk: arena %+v, ref %+v", uint64(va), reused, want)
 				}
 				if got.Present != arena.Present(va) {
 					t.Fatalf("Present(%#x) disagrees with Walk", uint64(va))

@@ -203,11 +203,23 @@ type WalkResult struct {
 	TermLevel int  // level of the terminal entry
 }
 
-// Walk simulates the radix traversal for va. Every entry the hardware walker
-// would read is reported, including the final not-present entry on a fault
-// (paper §3.7.1: walks that fault still perform their accesses).
+// Walk returns the walk of va (WalkInto) by value. The walkers call
+// WalkInto on a result they own and reuse, which saves zeroing and copying
+// the result on every walk; Walk stays for callers that want a copy: tests,
+// Present, and the repository benchmark (bench/, its own module), which
+// times it.
 func (t *Table) Walk(va mem.VirtAddr) WalkResult {
 	var r WalkResult
+	t.WalkInto(va, &r)
+	return r
+}
+
+// WalkInto simulates the radix traversal for va and writes it into r. Every
+// entry the hardware walker would read is reported, including the final
+// not-present entry on a fault (paper §3.7.1: walks that fault still perform
+// their accesses). Entries past r.N keep whatever r held before.
+func (t *Table) WalkInto(va mem.VirtAddr, r *WalkResult) {
+	r.N, r.Present, r.Huge = 0, false, false
 	nodes := t.nodes
 	kids := t.kids
 	n := &nodes[0]
@@ -219,16 +231,16 @@ func (t *Table) Walk(va mem.VirtAddr) WalkResult {
 		if l == t.cfg.LeafLevel {
 			r.Present = n.full || (n.bits >= 0 && bitGet(&t.bitmaps[n.bits], idx))
 			r.Huge = t.cfg.LeafLevel == 2
-			return r
+			return
 		}
 		if l == 2 && n.bits >= 0 && bitGet(&t.bitmaps[n.bits], idx) {
 			r.Present = true
 			r.Huge = true
-			return r
+			return
 		}
 		child := kids[int(n.kids)+idx]
 		if child == 0 {
-			return r // fault: entry read, found not present
+			return // fault: entry read, found not present
 		}
 		n = &nodes[child]
 	}

@@ -200,13 +200,19 @@ func TestCancelledCellIsEvicted(t *testing.T) {
 	p := sim.DefaultParams()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // the first submission runs already-cancelled
-	if _, err := r.RunCtx(ctx, sc, p); !errors.Is(err, context.Canceled) {
+	first := r.SubmitCtx(ctx, sc, p)
+	if _, err := first.WaitCtx(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled submission returned %v, want context.Canceled", err)
 	}
 	// A fresh submission must re-simulate and succeed.
 	res, err := r.RunCtx(context.Background(), sc, p)
 	if err != nil || res == nil {
 		t.Fatalf("resubmission after cancellation: res=%v err=%v", res, err)
+	}
+	// The cancelled wait returned at once, so the first cell may still be
+	// queued on the other worker; count once it has run.
+	if _, err := first.WaitCtx(context.Background()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled cell completed with %v, want context.Canceled", err)
 	}
 	if got := sims.Load(); got != 2 {
 		t.Fatalf("simulated %d times, want 2 (cancelled + retried)", got)

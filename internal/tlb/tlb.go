@@ -91,7 +91,7 @@ func (t *TLB) FlushASID(asid uint64) uint64 {
 // default, and the only value single-process runs ever use — produces tags
 // identical to the untagged encoding.
 type TwoLevel struct {
-	L1 Unit
+	L1 *TLB
 	L2 Unit
 
 	Accesses uint64 // lookups performed
@@ -138,7 +138,14 @@ func (t *TwoLevel) Insert(pageNum uint64, class PageClass, pfn uint64, neighbors
 // every structure is checked (paper §2.5). This is the only lookup path:
 // keeping a separate single-class probe alongside it would double-count
 // accesses and misses if the two were ever mixed.
-func (t *TwoLevel) LookupVA(va mem.VirtAddr, pfn uint64, neighbors NeighborFunc) bool {
+//
+// The last two parameters are ignored. The only fill a lookup makes is the
+// L1 refill, and the L1 is a conventional TLB, which takes no frame; a
+// Clustered L2 gets its frame and neighbour probe from InsertVA, on the
+// fill after a walk. So callers pass no frame, and a TLB hit needs none
+// resolved. The parameters stay because the repository benchmark (bench/,
+// its own module) calls LookupVA with three arguments.
+func (t *TwoLevel) LookupVA(va mem.VirtAddr, _ uint64, _ NeighborFunc) bool {
 	t.Accesses++
 	k4, k2 := PageNumber(va, Page4K), PageNumber(va, Page2M)
 	if t.L1.Lookup(t.asid, k4, Page4K) || t.L1.Lookup(t.asid, k2, Page2M) {
@@ -146,11 +153,11 @@ func (t *TwoLevel) LookupVA(va mem.VirtAddr, pfn uint64, neighbors NeighborFunc)
 	}
 	t.L1Misses++
 	if t.L2.Lookup(t.asid, k4, Page4K) {
-		t.L1.Insert(t.asid, k4, Page4K, pfn, neighbors)
+		t.L1.Insert(t.asid, k4, Page4K, 0, nil)
 		return true
 	}
 	if t.L2.Lookup(t.asid, k2, Page2M) {
-		t.L1.Insert(t.asid, k2, Page2M, pfn, nil)
+		t.L1.Insert(t.asid, k2, Page2M, 0, nil)
 		return true
 	}
 	t.L2Misses++

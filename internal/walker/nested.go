@@ -38,6 +38,9 @@ type Nested struct {
 	hTargets []core.Target
 	gpf      prefetchState
 	hpf      prefetchState
+	// gw and hw are the guest and host radix walks, filled in place. They
+	// are two because every host walk runs inside the guest walk's loop.
+	gw, hw pt.WalkResult
 }
 
 // Walk simulates the 2D walk for guest virtual address gva whose data page
@@ -68,7 +71,8 @@ func (n *Nested) Walk(now int64, gva mem.VirtAddr, dataGPA mem.PhysAddr, res *Re
 		}
 	}
 
-	gw := n.GuestPT.Walk(gva)
+	gw := &n.gw
+	n.GuestPT.WalkInto(gva, gw)
 	l1 := n.H.Latency(cache.ServedL1)
 	for i := 0; i < gw.N; i++ {
 		e := gw.Entries[i]
@@ -134,7 +138,8 @@ func (n *Nested) hostWalk(now int64, t int, gpa mem.PhysAddr, res *Result) int {
 		}
 	}
 
-	hw := n.HostPT.Walk(mem.VirtAddr(gpa))
+	hw := &n.hw
+	n.HostPT.WalkInto(mem.VirtAddr(gpa), hw)
 	l1 := n.H.Latency(cache.ServedL1)
 	for i := 0; i < hw.N; i++ {
 		e := hw.Entries[i]

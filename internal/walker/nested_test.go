@@ -12,9 +12,9 @@ import (
 	"repro/internal/vma"
 )
 
-// nestedRig assembles a small virtualized setup: a guest with a 64 MiB heap,
-// its guest PT placed in guest-physical frames, an EPT over 1 GiB of guest
-// RAM, and optional ASAP in both dimensions.
+// nestedRig assembles a small virtualized setup: a guest with a heap, its
+// guest PT placed in guest-physical frames, an EPT over 1 GiB of guest RAM,
+// and optional ASAP in both dimensions.
 type nestedRig struct {
 	h      *cache.Hierarchy
 	m      *virt.Machine
@@ -24,11 +24,19 @@ type nestedRig struct {
 	vpnGPA func(vpn uint64) mem.PhysAddr
 }
 
+// newNestedRig returns a nested rig whose guest has a 64 MiB heap.
 func newNestedRig(t *testing.T, gCfg, hCfg core.Config, hostHuge bool) *nestedRig {
+	t.Helper()
+	return newNestedRigPages(t, gCfg, hCfg, hostHuge, 32*mem.NodeSpan)
+}
+
+// newNestedRigPages returns a nested rig whose guest heap has the given
+// number of pages.
+func newNestedRigPages(t testing.TB, gCfg, hCfg core.Config, hostHuge bool, pages uint64) *nestedRig {
 	t.Helper()
 	r := &nestedRig{
 		h:    cache.NewHierarchy(cache.DefaultConfig()),
-		area: &vma.VMA{Start: mem.FromVPN(1 << 20), End: mem.FromVPN(1<<20 + 32*mem.NodeSpan), Kind: vma.Heap, Name: "heap"},
+		area: &vma.VMA{Start: mem.FromVPN(1 << 20), End: mem.FromVPN(1<<20 + pages), Kind: vma.Heap, Name: "heap"},
 	}
 	const guestFrames = uint64(1) << 18 // 1 GiB of guest RAM
 	gmap := virt.NewGPAMap(1<<24, 1<<22, hostHuge, 42)

@@ -144,6 +144,7 @@ type Walker struct {
 
 	targets []core.Target
 	pf      prefetchState
+	pw      pt.WalkResult // the radix walk of the current Walk, filled in place
 }
 
 // Walk simulates the walk triggered by a TLB miss on va at absolute time now,
@@ -168,7 +169,8 @@ func (w *Walker) Walk(now int64, table *pt.Table, va mem.VirtAddr, res *Result) 
 		}
 	}
 
-	wr := table.Walk(va)
+	wr := &w.pw
+	table.WalkInto(va, wr)
 	l1 := w.H.Latency(cache.ServedL1)
 	for i := 0; i < wr.N; i++ {
 		e := wr.Entries[i]

@@ -11,7 +11,7 @@ import (
 	"repro/internal/vma"
 )
 
-// rig bundles a small native setup: a 64 MiB heap VMA with its page table,
+// rig bundles a small native setup: a heap VMA with its page table,
 // optionally placed in ASAP sorted regions.
 type rig struct {
 	h      *cache.Hierarchy
@@ -22,12 +22,19 @@ type rig struct {
 	alloc  *pt.SortedAlloc
 }
 
+// newRig returns a rig with a 64 MiB heap.
 func newRig(t *testing.T, cfg core.Config, holeProb float64) *rig {
+	t.Helper()
+	return newRigPages(t, cfg, holeProb, 32*mem.NodeSpan)
+}
+
+// newRigPages returns a rig whose heap has the given number of pages.
+func newRigPages(t testing.TB, cfg core.Config, holeProb float64, pages uint64) *rig {
 	t.Helper()
 	r := &rig{
 		h:    cache.NewHierarchy(cache.DefaultConfig()),
 		pwc:  pwc.New(pwc.DefaultConfig()),
-		area: &vma.VMA{Start: mem.FromVPN(1 << 20), End: mem.FromVPN(1<<20 + 32*mem.NodeSpan), Kind: vma.Heap, Name: "heap"},
+		area: &vma.VMA{Start: mem.FromVPN(1 << 20), End: mem.FromVPN(1<<20 + pages), Kind: vma.Heap, Name: "heap"},
 	}
 	setup, err := core.SetupVMA(r.area, []int{1, 2}, mem.NewBump(1<<22, 1<<20))
 	if err != nil {

@@ -17,9 +17,12 @@
 #   -o OLD      baseline `go test -bench` output to diff against (optional);
 #               produces per-benchmark speedups and a geomean in the JSON.
 #
-# Benchmarks come from four packages: the end-to-end experiment suite in the
+# Benchmarks come from eight packages: the end-to-end experiment suite in the
 # module root, the per-structure ns/access micros in internal/cache, and the
-# walk-path TLB and PWC micros (ns/op) in internal/tlb and internal/pwc.
+# walk-path micros (ns/op): TLB and PWC lookups (internal/tlb, internal/pwc),
+# native and nested walks (internal/walker), Generator.Next per access
+# pattern (internal/workload), trace replay (internal/trace) and page-table
+# build (internal/pt).
 #
 # The raw `go test -bench` output is kept next to the JSON as
 # BENCH_<NUM>.txt so a later PR can use it as its -o baseline.
@@ -46,7 +49,7 @@ fi
 raw="BENCH_${num}.txt"
 out="BENCH_${num}.json"
 
-pkgs=(. ./internal/cache ./internal/tlb ./internal/pwc)
+pkgs=(. ./internal/cache ./internal/tlb ./internal/pwc ./internal/walker ./internal/workload ./internal/trace ./internal/pt)
 echo "bench.sh: go test -run '^\$' -bench '$pattern' -benchtime $benchtime -count $count -benchmem ${pkgs[*]}" >&2
 go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -count "$count" -benchmem "${pkgs[@]}" | tee "$raw"
 
