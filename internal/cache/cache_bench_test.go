@@ -128,14 +128,18 @@ type hierarchyStream struct {
 // hierarchyStreams returns BenchmarkHierarchyAccess's streams. walk_hit:
 // lines of a 128 KB page-table region, which fits L2 but not L1, so accesses
 // are served by L1 and L2 as a warm walker's are. corunner_miss: co-runner
-// lines, which miss all three levels. corunner_burst: the same lines through
-// AccessAll, 16 at a time, as the simulator issues co-runner traffic.
+// lines, which miss all three levels. corunner_burst1, corunner_burst and
+// corunner_burst64: the same lines through AccessAll, 1, 16 and 64 at a
+// time. The simulator's SMT co-runner issues bursts of 9 lines on average,
+// a sixth of them of 2 or fewer, and its quantum replay bursts of 62.
 func hierarchyStreams() []hierarchyStream {
 	co := keyStream(missStreamLen(llcLines), coLines, 4)
 	return []hierarchyStream{
 		{"walk_hit", keyStream(streamLen, 128<<10/mem.LineBytes, 3), 0},
 		{"corunner_miss", co, 0},
+		{"corunner_burst1", co, 1},
 		{"corunner_burst", co, 16},
+		{"corunner_burst64", co, 64},
 	}
 }
 

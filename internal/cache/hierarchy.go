@@ -84,6 +84,9 @@ type Hierarchy struct {
 	llc    *llcArray
 	lats   [NumServedBy]int // by serving level; the PWC entry is unused
 	served [NumServedBy]uint64
+	// burst is set when all three arrays have vector kernels: AccessAll
+	// then runs the burst kernel.
+	burst bool
 }
 
 // NewHierarchy builds the stack from cfg.
@@ -95,6 +98,7 @@ func NewHierarchy(cfg Config) *Hierarchy {
 		l2:  NewSetAssoc(lines(cfg.L2), cfg.L2.Ways),
 		llc: newLLCArray(lines(cfg.L3), cfg.L3.Ways),
 	}
+	h.burst = h.l1.vec && h.l2.vec && h.llc.vec
 	h.lats[ServedL1] = cfg.L1.Latency
 	h.lats[ServedL2] = cfg.L2.Latency
 	h.lats[ServedL3] = cfg.L3.Latency
@@ -130,7 +134,27 @@ func (h *Hierarchy) Access(addr mem.PhysAddr) (ServedBy, int) {
 // AccessAll is exactly Access on each address of addrs in order, served
 // counts included, with the latencies discarded: the burst form in which the
 // SMT co-runner and multi-process quantum replay issue their traffic.
+//
+// Where L1 and L2 have the 8-way kernel and the LLC the 20-way one (see the
+// package doc), one call to the burst kernel runs the whole burst: per
+// address, the same three LookupInserts as Access, in the same order and
+// through the same compare, miss and hit sequences, with the served counts
+// added once at the end. Nothing else reads the hierarchy meanwhile, so the
+// arrays and counts end as Access leaves them. The kernel stops before a line
+// whose LLC tag would not fit; Access then takes it and the rest, so such a
+// line fills L1 and L2 and panics exactly as it does there. Every other
+// geometry and platform runs Access per address.
 func (h *Hierarchy) AccessAll(addrs []mem.PhysAddr) {
+	if h.burst {
+		l1, l2, llc := h.l1, h.l2, h.llc
+		n, l1Hits, l2Hits, llcHits := accessBurst(l1.tags, l2.tags, llc.tags,
+			l1.setMask, l2.setMask, llc.setMask, uint64(llc.shift), llc.limit, addrs)
+		h.served[ServedL1] += l1Hits
+		h.served[ServedL2] += l2Hits
+		h.served[ServedL3] += llcHits
+		h.served[ServedMem] += uint64(n) - l1Hits - l2Hits - llcHits
+		addrs = addrs[n:]
+	}
 	for _, a := range addrs {
 		h.Access(a)
 	}

@@ -16,6 +16,17 @@
 // path once, when it is built, from its tag width, its ways and a CPUID
 // probe; no option selects it. Both paths leave the same result and the same
 // sets. Contains and FlushMask are scalar everywhere.
+//
+// A Hierarchy whose three arrays all have kernels (the default geometry on
+// such a CPU) also runs Hierarchy.AccessAll, the co-runner and quantum
+// replay traffic, through a burst kernel: one call per burst does, address
+// by address, the L1, L2 and LLC LookupInserts that Access does, through
+// the same compare, miss and hit sequences as the per-set kernels (shared
+// assembler macros). It makes the same probes in the same order on the same
+// sets, so it leaves the same arrays and served counts. Access, which page
+// walks use, calls the per-set kernels level by level. NewHierarchy picks
+// the path once, from its arrays; every other geometry or platform runs
+// AccessAll as Access per address.
 package cache
 
 import (

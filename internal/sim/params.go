@@ -56,7 +56,8 @@ type Params struct {
 	// CoAccessCycles paces the SMT co-runner: it issues one random request
 	// per this many cycles of application progress, so pressure rises when
 	// the application stalls on long (e.g. nested) walks — the dynamics
-	// behind Table 1's escalation from 2.7× (SMT) to 12× (virt + SMT).
+	// behind Table 1's escalation from 2.7× (SMT) to 12× (virt + SMT). It
+	// must be at least 1 where it is used (see MaxDataStallCycles).
 	CoAccessCycles float64
 
 	// CPIBase feeds the execution-time model (Fig 2 / Table 6 substitute for
@@ -64,7 +65,8 @@ type Params struct {
 	// CPIBase cycles each, pays the workload's DataStallCycles, and pays its
 	// full (serial) page-walk latency. Following the paper's methodology,
 	// only page-walk traffic — plus the co-runner under colocation — flows
-	// through the simulated cache hierarchy (§4).
+	// through the simulated cache hierarchy (§4). It must be positive and at
+	// most MaxCPIBase.
 	CPIBase float64
 
 	// Processes co-schedules this many synthetic processes on the simulated
@@ -118,16 +120,36 @@ func DefaultParams() Params {
 	}
 }
 
+// Caps on the timing inputs that size a reference's co-runner traffic,
+// which Validate enforces. The reference loop polls its context once every
+// 4096 references, so the work one reference does must stay bounded. The
+// SMT co-runner issues one request per CoAccessCycles of each reference's
+// cycles (DataStallCycles, plus InstrPerRef instructions at CPIBase cycles
+// each, plus its walk), and the multi-process replay one per CoAccessCycles
+// of each reference's nominal cycles (the same without the walk). With
+// CoAccessCycles at least 1, a reference issues at most 3,000 requests
+// beyond its walk's share. The caps stand well above every shipped
+// value: the largest DataStallCycles is redis's 260, the largest
+// InstrPerRef is 9 and the default CPIBase is 0.6.
+const (
+	MaxDataStallCycles = 2000
+	MaxInstrPerRef     = 100
+	MaxCPIBase         = 10
+)
+
 // Validate checks a scenario cell before anything is built for it. Run calls
 // it first; the front ends (cmd/asapsim, asapd) call it to reject a cell at
 // the command line or at submission. A combination that would silently drop
 // a requested dimension is an error, not a quieter run of something else.
+// The workload spec is checked wherever it came from: shipped, built through
+// the Go API, or read from a trace header (UseTrace).
 func Validate(sc Scenario, p Params) error {
 	if err := mmu.Validate(sc.Scheme); err != nil {
 		return err
 	}
 	rival := sc.SchemeName() != "asap"
 	multi := p.Processes > 1
+	w := sc.Workload
 	switch {
 	case rival && sc.Virtualized:
 		return fmt.Errorf("sim: scheme %s is native-only (scenario %s)", sc.SchemeName(), sc.Name())
@@ -145,8 +167,14 @@ func Validate(sc Scenario, p Params) error {
 		return fmt.Errorf("sim: Mix needs Processes > 1, got %d (scenario %s)", p.Processes, sc.Name())
 	case multi && p.QuantumRefs < 1:
 		return fmt.Errorf("sim: QuantumRefs must be positive with Processes > 1, got %d", p.QuantumRefs)
-	case (sc.Colocated || multi) && !(p.CoAccessCycles > 0 && !math.IsInf(p.CoAccessCycles, 1)):
-		return fmt.Errorf("sim: CoAccessCycles must be positive and finite, got %v (scenario %s)", p.CoAccessCycles, sc.Name())
+	case (sc.Colocated || multi) && !(p.CoAccessCycles >= 1 && !math.IsInf(p.CoAccessCycles, 1)):
+		return fmt.Errorf("sim: CoAccessCycles must be at least 1 and finite, got %v (scenario %s)", p.CoAccessCycles, sc.Name())
+	case !(p.CPIBase > 0 && p.CPIBase <= MaxCPIBase):
+		return fmt.Errorf("sim: CPIBase must be in (0, %v], got %v", MaxCPIBase, p.CPIBase)
+	case !(w.DataStallCycles >= 0 && w.DataStallCycles <= MaxDataStallCycles):
+		return fmt.Errorf("sim: DataStallCycles must be in [0, %v], got %v (workload %s)", MaxDataStallCycles, w.DataStallCycles, w.Name)
+	case !(w.InstrPerRef >= 0 && w.InstrPerRef <= MaxInstrPerRef):
+		return fmt.Errorf("sim: InstrPerRef must be in [0, %v], got %v (workload %s)", MaxInstrPerRef, w.InstrPerRef, w.Name)
 	case !(p.HoleProb >= 0 && p.HoleProb <= 1):
 		return fmt.Errorf("sim: HoleProb must be in [0, 1], got %v", p.HoleProb)
 	}

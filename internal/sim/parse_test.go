@@ -56,6 +56,11 @@ func TestParse(t *testing.T) {
 		t.Fatal("mcf missing")
 	}
 	tracePath, tr := writeTrace(t, mcf)
+	// A capture file whose header claims a stall no shipped spec comes
+	// near, as asaptrace and asapd trace cells may name.
+	stalled := mcf
+	stalled.DataStallCycles = 1e9
+	stalledPath, _ := writeTrace(t, stalled)
 	notTrace := filepath.Join(t.TempDir(), "notes.txt")
 	if err := os.WriteFile(notTrace, []byte("hunter2-password\n"), 0o600); err != nil {
 		t.Fatal(err)
@@ -79,6 +84,8 @@ func TestParse(t *testing.T) {
 		{name: "trace with another workload", cs: CellSpec{Workload: "canneal", Trace: tracePath}, err: "records workload mcf"},
 		{name: "file that is not a trace", cs: CellSpec{Trace: notTrace}, err: "not a trace file"},
 		{name: "missing trace file", cs: CellSpec{Trace: notTrace + ".gone"}, err: "no such file"},
+		{name: "trace header over the stall cap", cs: CellSpec{Trace: stalledPath, Colocated: true},
+			err: "DataStallCycles must be in [0, 2000]"},
 		{name: "asap scheme is the zero value", cs: CellSpec{Workload: "mcf", Scheme: "asap"}},
 		{name: "rival scheme", cs: CellSpec{Workload: "mcf", Scheme: "victima"},
 			want: func(sc *Scenario, _ *Params) { sc.Scheme = "victima" }},

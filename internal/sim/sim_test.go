@@ -490,15 +490,21 @@ func TestMultiprocUnknownMixRejected(t *testing.T) {
 
 func TestRunRejectsBadCoAccessCycles(t *testing.T) {
 	// A zero pacing once made the co-runner's debt +Inf and spun its loop
-	// where the ctx poll never ran. The error must come from validation
+	// where the ctx poll never ran, and a tiny positive one made every
+	// reference's burst enormous. The error must come from validation
 	// before anything runs, not from the deadline.
-	for _, c := range []float64{0, -18, math.NaN(), math.Inf(1)} {
+	for _, c := range []float64{0, -18, math.NaN(), math.Inf(1), 1e-6} {
 		for _, procs := range []int{1, 2} {
 			p := fastParams()
 			p.CoAccessCycles = c
 			p.Processes = procs
+			sc := Scenario{Workload: tinySpec(), Colocated: procs == 1}
+			if Validate(sc, p) == nil {
+				t.Errorf("CoAccessCycles=%v, Processes=%d: Validate accepted the cell", c, procs)
+				continue
+			}
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			_, err := Run(ctx, Scenario{Workload: tinySpec(), Colocated: procs == 1}, p, nil, nil)
+			_, err := Run(ctx, sc, p, nil, nil)
 			cancel()
 			if err == nil || errors.Is(err, context.DeadlineExceeded) {
 				t.Errorf("CoAccessCycles=%v, Processes=%d: err = %v, want a validation error", c, procs, err)
@@ -576,30 +582,57 @@ func TestValidate(t *testing.T) {
 		t.Fatalf("valid cell: %d processes announced, %d assemblies built", tap.begun, builtAssemblies())
 	}
 
+	// Every shipped spec passes the spec caps, colocated at the default
+	// pacing.
+	for _, w := range workload.Specs() {
+		if err := Validate(Scenario{Workload: w, Colocated: true}, DefaultParams()); err != nil {
+			t.Errorf("shipped spec %s: %v", w.Name, err)
+		}
+	}
+
 	p1 := core.Config{P1: true}
 	procs := func(n int) func(*Params) { return func(p *Params) { p.Processes = n } }
+	cpi := func(c float64) func(*Params) { return func(p *Params) { p.CPIBase = c } }
+	stall := func(c float64) func(*workload.Spec) { return func(w *workload.Spec) { w.DataStallCycles = c } }
+	instr := func(n float64) func(*workload.Spec) { return func(w *workload.Spec) { w.InstrPerRef = n } }
 	for _, tc := range []struct {
 		name string
 		sc   Scenario
 		mut  func(*Params)
+		spec func(*workload.Spec)
 	}{
-		{"unknown scheme", Scenario{Scheme: "bogus"}, nil},
-		{"rival scheme virtualized", Scenario{Scheme: "victima", Virtualized: true}, nil},
-		{"rival scheme with ASAP", Scenario{Scheme: "revelator", ASAP: ASAPConfig{Native: p1}}, nil},
-		{"virtualized native ASAP", Scenario{Virtualized: true, ASAP: ASAPConfig{Native: p1}}, nil},
-		{"guest without virt", Scenario{ASAP: ASAPConfig{Guest: p1}}, nil},
-		{"host without virt", Scenario{ASAP: ASAPConfig{Host: p1}}, nil},
-		{"huge pages without virt", Scenario{HostHugePages: true}, nil},
-		{"trace virtualized", Scenario{Trace: "deadbeefdeadbeef", Virtualized: true}, nil},
-		{"trace multi-process", Scenario{Trace: "deadbeefdeadbeef"}, procs(2)},
-		{"virtualized multi-process", Scenario{Virtualized: true}, procs(2)},
-		{"mix single-process", Scenario{Mix: "mcf"}, nil},
-		{"zero quantum", Scenario{}, func(p *Params) { p.Processes, p.QuantumRefs = 2, 0 }},
-		{"colocated zero pacing", Scenario{Colocated: true}, func(p *Params) { p.CoAccessCycles = 0 }},
-		{"multi-process infinite pacing", Scenario{}, func(p *Params) { p.Processes, p.CoAccessCycles = 2, math.Inf(1) }},
-		{"hole probability above 1", Scenario{}, func(p *Params) { p.HoleProb = 1.5 }},
-		{"negative hole probability", Scenario{}, func(p *Params) { p.HoleProb = -0.1 }},
-		{"NaN hole probability", Scenario{}, func(p *Params) { p.HoleProb = math.NaN() }},
+		{"unknown scheme", Scenario{Scheme: "bogus"}, nil, nil},
+		{"rival scheme virtualized", Scenario{Scheme: "victima", Virtualized: true}, nil, nil},
+		{"rival scheme with ASAP", Scenario{Scheme: "revelator", ASAP: ASAPConfig{Native: p1}}, nil, nil},
+		{"virtualized native ASAP", Scenario{Virtualized: true, ASAP: ASAPConfig{Native: p1}}, nil, nil},
+		{"guest without virt", Scenario{ASAP: ASAPConfig{Guest: p1}}, nil, nil},
+		{"host without virt", Scenario{ASAP: ASAPConfig{Host: p1}}, nil, nil},
+		{"huge pages without virt", Scenario{HostHugePages: true}, nil, nil},
+		{"trace virtualized", Scenario{Trace: "deadbeefdeadbeef", Virtualized: true}, nil, nil},
+		{"trace multi-process", Scenario{Trace: "deadbeefdeadbeef"}, procs(2), nil},
+		{"virtualized multi-process", Scenario{Virtualized: true}, procs(2), nil},
+		{"mix single-process", Scenario{Mix: "mcf"}, nil, nil},
+		{"zero quantum", Scenario{}, func(p *Params) { p.Processes, p.QuantumRefs = 2, 0 }, nil},
+		{"colocated zero pacing", Scenario{Colocated: true}, func(p *Params) { p.CoAccessCycles = 0 }, nil},
+		{"multi-process infinite pacing", Scenario{}, func(p *Params) { p.Processes, p.CoAccessCycles = 2, math.Inf(1) }, nil},
+		{"hole probability above 1", Scenario{}, func(p *Params) { p.HoleProb = 1.5 }, nil},
+		{"negative hole probability", Scenario{}, func(p *Params) { p.HoleProb = -0.1 }, nil},
+		{"NaN hole probability", Scenario{}, func(p *Params) { p.HoleProb = math.NaN() }, nil},
+		{"colocated pacing below 1", Scenario{Colocated: true}, func(p *Params) { p.CoAccessCycles = 0.5 }, nil},
+		{"multi-process tiny pacing", Scenario{}, func(p *Params) { p.Processes, p.CoAccessCycles = 2, 1e-6 }, nil},
+		{"zero CPI", Scenario{}, cpi(0), nil},
+		{"negative CPI", Scenario{}, cpi(-0.6), nil},
+		{"NaN CPI", Scenario{}, cpi(math.NaN()), nil},
+		{"infinite CPI", Scenario{}, cpi(math.Inf(1)), nil},
+		{"CPI above cap", Scenario{}, cpi(MaxCPIBase * 2), nil},
+		{"negative data stall", Scenario{}, nil, stall(-1)},
+		{"NaN data stall", Scenario{}, nil, stall(math.NaN())},
+		{"infinite data stall", Scenario{}, nil, stall(math.Inf(1))},
+		{"data stall above cap", Scenario{Colocated: true}, nil, stall(1e9)},
+		{"negative instructions per ref", Scenario{}, nil, instr(-1)},
+		{"NaN instructions per ref", Scenario{}, nil, instr(math.NaN())},
+		{"infinite instructions per ref", Scenario{}, nil, instr(math.Inf(1))},
+		{"instructions per ref above cap", Scenario{}, nil, instr(MaxInstrPerRef + 1)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ResetBuildCache()
@@ -607,6 +640,9 @@ func TestValidate(t *testing.T) {
 			sc.Workload = tinySpec()
 			if tc.mut != nil {
 				tc.mut(&p)
+			}
+			if tc.spec != nil {
+				tc.spec(&sc.Workload)
 			}
 			want := Validate(sc, p)
 			if want == nil {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/mem"
 	"repro/internal/trace"
@@ -177,10 +178,43 @@ func TestTraceScenarioRejectsBadDimensions(t *testing.T) {
 // whatever it contains.
 func TestTinyHandBuiltTraceReplaysCleanly(t *testing.T) {
 	ResetBuildCache()
+	sc := UseTrace(tinyHandBuiltTrace(t, 10))
+	sc.ASAP = cfgTestP1P2()
+	p := traceTestParams()
+	if _, err := Run(context.Background(), sc, p, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCraftedTraceHeaderRejected: the trace decoder takes a header's spec
+// as written, and under colocation each reference's DataStallCycles sizes
+// its co-runner burst. A header claiming 1e9 stall cycles per reference must
+// be rejected before anything runs, not replayed with bursts of tens of
+// millions of requests between context polls.
+func TestCraftedTraceHeaderRejected(t *testing.T) {
+	ResetBuildCache()
+	sc := UseTrace(tinyHandBuiltTrace(t, 1e9))
+	sc.Colocated = true
+	p := traceTestParams()
+	want := Validate(sc, p)
+	if want == nil {
+		t.Fatal("Validate accepted a trace header with 1e9 data stall cycles per reference")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := Run(ctx, sc, p, nil, nil); err == nil || err.Error() != want.Error() {
+		t.Fatalf("Run: err = %v, want Validate's %q", err, want)
+	}
+}
+
+// tinyHandBuiltTrace returns a format-valid trace of 64 references over a
+// 2-page layout whose header spec has the given DataStallCycles.
+func tinyHandBuiltTrace(t *testing.T, stall float64) *trace.Trace {
+	t.Helper()
 	spec := workload.Spec{
 		Name: "tiny", DatasetBytes: 2 * 4096, SpreadFactor: 1,
 		TotalVMAs: 1, BigVMAs: 1, Contig8: 0.9, LinesPerVisit: 1,
-		DataStallCycles: 10, InstrPerRef: 1,
+		DataStallCycles: stall, InstrPerRef: 1,
 	}
 	start := mem.FromVPN(1 << 20)
 	h := trace.Header{
@@ -205,12 +239,7 @@ func TestTinyHandBuiltTraceReplaysCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := UseTrace(tr)
-	sc.ASAP = cfgTestP1P2()
-	p := traceTestParams()
-	if _, err := Run(context.Background(), sc, p, nil, nil); err != nil {
-		t.Fatal(err)
-	}
+	return tr
 }
 
 // TestTraceRunsDryBeforeWarmup locks the short-trace semantics: a replay

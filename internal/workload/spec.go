@@ -88,6 +88,8 @@ type Spec struct {
 	// DataStallCycles models the average non-translation stall per memory
 	// reference (cache misses on data, instruction supply), used by the
 	// execution-time model of Fig 2/Table 6 in place of hardware counters.
+	// sim.Validate bounds it by sim.MaxDataStallCycles, since it also paces
+	// co-runner traffic.
 	DataStallCycles float64
 
 	// Contig8 is the probability that an aligned 8-page virtual group is
@@ -102,7 +104,8 @@ type Spec struct {
 	DataPerPTNode int
 
 	// InstrPerRef is the number of instructions retired per memory
-	// reference, used for MPKI and the execution-time model.
+	// reference, used for MPKI and the execution-time model. sim.Validate
+	// bounds it by sim.MaxInstrPerRef.
 	InstrPerRef float64
 }
 
